@@ -7,19 +7,12 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gammas import reciprocal_gamma
-from .mat3 import identity3, max_abs
-from .perturbed import PerturbParams, log_resonant_d_values
-from .unperturbed import Direction, stokes_matrix
-
-THREADS_ENV = "STOKES_UNFOLD_THREADS"
-_PARALLEL_THRESHOLD = 64  # rows; below this the thread pool is pure overhead
+from .perturbed import PerturbParams, log_resonant_d_range
 
 
 @dataclass(frozen=True)
@@ -77,51 +70,28 @@ def gamma_ratio_probe(z: float, alpha) -> complex:
     return complex(np.exp(loggamma(z + alpha) - loggamma(z) - alpha * np.log(z)))
 
 
-def _row(nu: float, n: int) -> ConfluenceRow:
-    params = PerturbParams.from_resonant_index(nu, n)
-    d_l2, d_r3 = log_resonant_d_values(nu, n)
-    lim_l2, lim_r3 = limit_targets(nu)
-    unfolded_l = identity3()
-    unfolded_l[0, 1] = 2j * math.pi * d_l2
-    unfolded_r = identity3()
-    unfolded_r[0, 2] = 2j * math.pi * d_r3
-    return ConfluenceRow(
-        n=n,
-        sqrt_eps=params.sqrt_eps,
-        d_L2=d_l2,
-        d_R3=d_r3,
-        err_L2=abs(d_l2 - lim_l2),
-        err_R3=abs(d_r3 - lim_r3),
-        stokes_err_L=max_abs(unfolded_l - stokes_matrix(nu, Direction.PI)),
-        stokes_err_R=max_abs(unfolded_r - stokes_matrix(nu, Direction.ZERO)),
-    )
+def thread_count() -> int:
+    """Always 1: a table is one vectorized pass; kept for the benchmark, which records it."""
+    return 1
 
 
-def thread_count(requested: int | None = None) -> int:
-    """Worker cap: explicit argument, else the environment cap, else auto."""
-    if requested is not None and requested > 0:
-        return requested
-    try:
-        cap = int(os.environ.get(THREADS_ENV, "0"))
-    except ValueError:
-        cap = 0
-    if cap > 0:
-        return cap
-    return min(8, os.cpu_count() or 1)
-
-
-def confluence_table(nu: float, n_min: int, n_max: int, threads: int | None = None) -> list:
+def confluence_table(nu: float, n_min: int, n_max: int) -> list:
     """ConfluenceRow per index, ordered by n; rows are emitted even when a
-    downstream convergence check would fail (the table is the artifact)."""
+    downstream convergence check would fail (the table is the artifact).
+
+    The error columns are delta, delta/2, 2 pi delta and pi delta, with
+    delta = |d_L2 - d_L2(inf)|: exp(2 pi i T_j) differs from the Stokes
+    matrix only by 2 pi i (d_j - d_j(inf)) in one entry, and |e^{i pi (1-nu)}| = 1."""
     resonant_sequence(nu, n_min, n_min)  # validates the range start
     if n_max < n_min:
         raise ValueError("empty resonance index range")
-    ns = list(range(n_min, n_max + 1))
-    workers = thread_count(threads)
-    if workers > 1 and len(ns) >= _PARALLEL_THRESHOLD:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda n: _row(float(nu), n), ns))
-    return [_row(float(nu), n) for n in ns]
+    nu = float(nu)
+    d_l2, d_r3, deltas = log_resonant_d_range(nu, n_min, n_max)
+    return [
+        ConfluenceRow(n, 1.0 / (nu + 2.0 * n), d_l2_n, d_r3_n, delta, 0.5 * delta,
+                      2.0 * math.pi * delta, math.pi * delta)
+        for n, d_l2_n, d_r3_n, delta in zip(range(n_min, n_max + 1), d_l2, d_r3, deltas)
+    ]
 
 
 def fitted_rate(rows, column: str = "stokes_err_R") -> float:

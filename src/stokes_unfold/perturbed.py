@@ -33,7 +33,11 @@ from .unperturbed import exponent_matrices
 
 INTEGRALITY_TOL = 1e-9
 _SINGULARITY_MARGIN = 1e-12
-_LGAMMA_CROSSOVER = 64  # resonance index above which Gamma ratios go through lgamma
+_SERIES_CROSSOVER = 64  # resonance index above which real-nu d-values come from the midpoint series
+# B_{2i}(1/2) = (2^{1-2i} - 1) B_{2i}, i = 0..12: the Bernoulli values of the midpoint series
+_BERNOULLI_HALF = (1.0, -0.08333333333333333, 0.029166666666666667, -0.023065476190476192, 0.03307291666666667,
+                   -0.07560961174242424, 0.2529899625114469, -1.1665242513020833, 7.091940427293965,
+                   -54.970758548057766, 529.123233199842, -6192.120235771373, 86580.24279238265)
 _JACOBI_MAX_EXPONENT = 40.0
 
 
@@ -364,28 +368,59 @@ def log_resonant_d_values(nu, n: int) -> tuple[complex, complex]:
     log(-r) = ln r + i pi, the choice pinned by the confluence limits.
     Non-positive integer nu gives exact zeros once n >= 1 - nu; smaller n
     sit outside the derived closed forms and raise.
+
+    Accuracy: n <= 64 use the exact product, larger n with real nu the
+    midpoint series where z > 2 |nu|.  Against 50-digit values at n = 65 ...
+    10^6 the d-values and their distance to the limit are within 1e-13
+    relative for |nu| <= 8, and within 1e-12 (that of 1/Gamma) for |nu| <= 50.
+    """
+    d_l2, d_r3, _ = log_resonant_d_range(nu, n, n)
+    return d_l2[0], d_r3[0]
+
+
+def log_resonant_d_range(nu, n_min: int, n_max: int) -> tuple[list, list, list]:
+    """Lists of d_L2 = e^{i pi (1-nu)} w_n, d_R3 = -w_n/2 and delta = |w_n - 1/Gamma(nu)|
+    for n_min <= n <= n_max, w_n = z^{1-nu} (nu)^{(n)} / n!.  On the series path
+    delta is |1/Gamma(nu)| |expm1(log R)|, free of the cancellation in the difference.
     """
     nu = complex(nu)
-    if n < 0:
+    if n_min < 0:
         raise ResonanceError("resonance index must be >= 0")
     if _near_integer(nu) and round(nu.real) <= 0:
-        if n >= 1 - round(nu.real):
-            return 0j, 0j
+        if n_min >= 1 - round(nu.real):
+            count = n_max - n_min + 1
+            return [0j] * count, [0j] * count, [0.0] * count
         raise ResonanceError(
             "for integer nu <= 0 the closed forms need nu/2 + 1/(2 sqrt_eps) >= 1"
         )
-    z = n + nu / 2.0
-    if n > _LGAMMA_CROSSOVER and nu.imag == 0.0:
-        log_ratio = (
-            (1.0 - nu.real) * math.log(z.real)
-            + math.lgamma(n + nu.real)
-            - math.lgamma(n + 1.0)
-        )
-        w = math.exp(log_ratio) * reciprocal_gamma(nu)
-    else:
-        w = z ** (1.0 - nu) * rising_factorial(nu, n) / math.factorial(n)
+    rg = reciprocal_gamma(nu)
+    # real nu takes the series above the crossover and where z > 2 |nu|, so its terms fall 16-fold
+    series_from = max(_SERIES_CROSSOVER, math.floor(2.0 * abs(nu.real) - nu.real / 2.0)) + 1
+    split = n_max + 1 if nu.imag else min(max(n_min, series_from), n_max + 1)
+    ws = [(n + nu / 2.0) ** (1.0 - nu) * rising_factorial(nu, n) / math.factorial(n)
+          for n in range(n_min, split)]
+    deltas = [abs(w - rg) for w in ws]
+    if split <= n_max:
+        log_r = _midpoint_log_ratio(nu.real, np.arange(split, n_max + 1, dtype=float))
+        ws += (rg.real * np.exp(log_r)).tolist()
+        deltas += (abs(rg.real) * np.abs(np.expm1(log_r))).tolist()
     phase = cmath.exp(1j * math.pi * (1.0 - nu))
-    return phase * w, -0.5 * w
+    return [phase * w for w in ws], [complex(-0.5 * w) for w in ws], deltas
+
+
+def _midpoint_log_ratio(nu: float, n: np.ndarray) -> np.ndarray:
+    """log R, R = z^{1-nu} Gamma(n+nu) / Gamma(n+1) with z = n + nu/2 > 2 |nu|.
+
+    At the midpoint z the odd powers of 1/z drop out of Stirling's series
+    (Tricomi & Erdelyi 1951): log R = -sum_j 2 B_{2j+1}(nu/2) / (2j (2j+1) z^{2j}),
+    summed to j = 12 with B_{2j+1}(1/2 + x) = sum_i C(2j+1, 2i) B_{2i}(1/2) x^{2j+1-2i},
+    which vanishes at x = 0, so R - 1 stays accurate near nu = 1.
+    """
+    x = (nu - 1.0) / 2.0
+    coeffs = [-sum(math.comb(2 * j + 1, 2 * i) * _BERNOULLI_HALF[i] * x ** (2 * (j - i) + 1)
+                   for i in range(j + 1)) / (j * (2 * j + 1))
+              for j in range(1, len(_BERNOULLI_HALF))]
+    return np.polyval(coeffs[::-1] + [0.0], 1.0 / (n + nu / 2.0) ** 2)
 
 
 def residues(params: PerturbParams) -> ResidueData:

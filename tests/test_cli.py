@@ -202,21 +202,6 @@ def test_check_reports_known_rate_defect(capsys, monkeypatch):
     assert "fitted exponent -1.000" in results[0]["detail"]
 
 
-def test_threads_env_cap(monkeypatch, capsys):
-    monkeypatch.setenv("STOKES_UNFOLD_THREADS", "2")
-    _, out1 = run_cli(capsys, "confluence", "--nu", "2", "--n-min", "1", "--n-max", "80", "--format", "csv")
-    monkeypatch.delenv("STOKES_UNFOLD_THREADS")
-    _, out2 = run_cli(capsys, "confluence", "--nu", "2", "--n-min", "1", "--n-max", "80", "--format", "csv")
-    assert out1 == out2
-
-
-def test_threads_env_garbage_falls_back(monkeypatch):
-    from stokes_unfold.confluence import thread_count
-
-    monkeypatch.setenv("STOKES_UNFOLD_THREADS", "not-a-number")
-    assert thread_count() >= 1
-
-
 def test_module_entry_point():
     import subprocess
     import sys

@@ -73,6 +73,58 @@ def test_table_zero_columns_for_nonpositive_integer_nu():
         assert r.d_L2 == 0 and r.d_R3 == 0
         assert r.err_L2 == 0 and r.err_R3 == 0
         assert r.stokes_err_L == 0 and r.stokes_err_R == 0
+        # +0, never -0: the CSV prints the sign of a zero
+        for x in (r.d_L2.real, r.d_L2.imag, r.d_R3.real, r.d_R3.imag,
+                  r.err_L2, r.err_R3, r.stokes_err_L, r.stokes_err_R):
+            assert math.copysign(1.0, x) == 1.0
+
+
+def test_table_and_d_values_share_one_definition():
+    for nu in (0.5, 3.3, 2.0):
+        for r in su.confluence_table(nu, 1, 200):
+            assert (r.d_L2, r.d_R3) == su.log_resonant_d_values(nu, r.n)
+            assert r.err_L2 == 2 * r.err_R3
+            assert r.stokes_err_L == 2 * r.stokes_err_R
+
+
+def test_table_matches_mpmath():
+    # every column against z^{1-nu} (nu)_n / n! and 1/Gamma(nu) at 50 digits;
+    # the error columns are delta, delta/2, 2 pi delta, pi delta with
+    # delta = |w - 1/Gamma(nu)|, so they test the series without cancellation
+    mp = pytest.importorskip("mpmath")
+    bounds = {nu: 1e-13 for nu in (0.5, 3.3, 0.01, 3.99, 7.25, -2.5)}
+    bounds.update({nu: 1e-12 for nu in (20.0, -30.5, 50.3)})  # the accuracy of 1/Gamma
+    with mp.workdps(50):
+        for nu, bound in bounds.items():
+            nu_mp = mp.mpf(nu)
+            for n in (65, 100, 10**3, 10**4, 10**5, 10**6):
+                (r,) = su.confluence_table(nu, n, n)
+                w = (n + nu_mp / 2) ** (1 - nu_mp) * mp.rf(nu_mp, n) / mp.factorial(n)
+                delta = abs(w - mp.rgamma(nu_mp))
+                refs = {
+                    "d_L2": mp.exp(1j * mp.pi * (1 - nu_mp)) * w,
+                    "d_R3": -w / 2,
+                    "err_L2": delta,
+                    "err_R3": delta / 2,
+                    "stokes_err_L": 2 * mp.pi * delta,
+                    "stokes_err_R": mp.pi * delta,
+                }
+                for col, ref in refs.items():
+                    rel = abs(getattr(r, col) - ref) / abs(ref)
+                    assert rel <= bound, f"nu={nu} n={n} {col}: rel err {float(rel):.2e}"
+
+
+def test_rate_constant_over_the_whole_range():
+    # stokes_err_R z^2 -> 2 pi |1/(2 Gamma(nu))| |B_3(nu/2)| / 3, with an
+    # O(1/z^2) correction from the next term of the midpoint series
+    for nu in (0.5, 3.3):
+        x = nu / 2.0
+        b3 = x**3 - 1.5 * x**2 + 0.5 * x
+        const = 2.0 * math.pi * abs(0.5 / math.gamma(nu)) * abs(b3) / 3.0
+        for n in (10**2, 10**3, 10**4, 10**5, 10**6):
+            (r,) = su.confluence_table(nu, n, n)
+            z = n + nu / 2.0
+            assert abs(r.stokes_err_R * z**2 / const - 1.0) <= 1.0 / z**2, (nu, n)
 
 
 def test_table_converges_and_row_fields():
@@ -93,18 +145,6 @@ def test_measured_rate_is_reported():
     rows = su.confluence_table(0.5, 10, 1000)
     rate = su.fitted_rate(rows, "stokes_err_R")
     assert rate < -1.5
-
-
-def test_table_thread_determinism(monkeypatch):
-    serial = su.confluence_table(0.5, 10, 150, threads=1)
-    threaded = su.confluence_table(0.5, 10, 150, threads=4)
-    assert [r.n for r in serial] == [r.n for r in threaded]
-    assert all(a == b for a, b in zip(serial, threaded))
-    monkeypatch.setenv("STOKES_UNFOLD_THREADS", "3")
-    from stokes_unfold.confluence import thread_count
-
-    assert thread_count() == 3
-    assert thread_count(2) == 2
 
 
 def test_diagonal_factor_constancy_and_product():
