@@ -1,8 +1,8 @@
 """Named property checks over every module, runnable from the CLI.
 
 Each check draws its samples from a seeded generator, measures a worst-case
-error and compares it against the bound it declares; results are reported,
-not raised, so a failing property still yields a full report.
+error against the bound it declares and returns ``(passed, detail)``, reported
+rather than raised; ``ALL_CHECKS`` is the single statement of each property.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import numpy as np
 from . import borel, confluence, oracle, perturbed, unperturbed
 from .gammas import gamma, reciprocal_gamma
 from .mat3 import exp_first_row_nilpotent, identity3, max_abs
+from .paths import circle
 from .series import SeriesKind, build_series, borel_transform_value, ode_residual_coefficients
 
 
@@ -27,11 +28,11 @@ class CheckResult:
     detail: str
 
 
-def _bounded(module, name, err, bound, note=""):
+def _bounded(err, bound, note=""):
     detail = f"max error {err:.3e} against bound {bound:.3e}"
     if note:
         detail += f" ({note})"
-    return CheckResult(module, name, bool(err <= bound), detail)
+    return bool(err <= bound), detail
 
 
 def _random_nu(rng, scale=20.0, keep_clear_of_integers=True):
@@ -53,7 +54,7 @@ def check_gamma_reflection(rng):
         z = _random_nu(rng)
         ref = math.pi / cmath.sin(math.pi * z)
         worst = max(worst, abs(gamma(z) * gamma(1.0 - z) - ref) / abs(ref))
-    return _bounded("complex_core", "gamma_reflection", worst, 1e-10)
+    return _bounded(worst, 1e-10)
 
 
 def check_gamma_recurrence(rng):
@@ -61,7 +62,7 @@ def check_gamma_recurrence(rng):
     for _ in range(1000):
         z = _random_nu(rng)
         worst = max(worst, abs(gamma(z + 1.0) - z * gamma(z)) / abs(gamma(z + 1.0)))
-    return _bounded("complex_core", "gamma_recurrence", worst, 1e-11)
+    return _bounded(worst, 1e-11)
 
 
 def check_reciprocal_product(rng):
@@ -69,7 +70,7 @@ def check_reciprocal_product(rng):
     for _ in range(500):
         z = _random_nu(rng)
         worst = max(worst, abs(reciprocal_gamma(z) * gamma(z) - 1.0))
-    return _bounded("complex_core", "reciprocal_gamma_product", worst, 1e-11)
+    return _bounded(worst, 1e-11)
 
 
 def check_nilpotent_exponential(rng):
@@ -85,7 +86,7 @@ def check_nilpotent_exponential(rng):
             power = power @ (scale * t) / k
             series = series + power
         worst = max(worst, max_abs(exp_first_row_nilpotent(t, scale) - series))
-    return _bounded("complex_core", "nilpotent_exp_matches_series", worst, 1e-14)
+    return _bounded(worst, 1e-14)
 
 
 # ------------------------------------------------------------- formal series
@@ -102,7 +103,7 @@ def check_borel_partial_sums(rng):
             c / math.factorial(k) * zeta**k for k, c in enumerate(series.coefficients)
         )
         worst = max(worst, abs(partial - borel_transform_value(nu, kind, zeta)))
-    return _bounded("formal_series", "borel_partial_sums", worst, 1e-9)
+    return _bounded(worst, 1e-9)
 
 
 def check_series_residual(rng):
@@ -111,7 +112,7 @@ def check_series_residual(rng):
         for kind in SeriesKind:
             res = ode_residual_coefficients(build_series(nu, kind, 12))
             worst = max(worst, max(abs(c) for c in res[:13]))
-    return _bounded("formal_series", "defining_equation_residual", worst, 0.0, "exact zeros required")
+    return _bounded(worst, 0.0, "exact zeros required")
 
 
 def check_terminating_series(rng):
@@ -124,7 +125,7 @@ def check_terminating_series(rng):
             top = s.coefficients[m]
             expected = math.factorial(m) * ((-1) ** m if kind is SeriesKind.PSI else 1)
             ok = ok and len(nonzero) == m + 1 and top == expected
-    return CheckResult("formal_series", "terminating_cases", ok, "top coefficients and lengths checked")
+    return ok, "top coefficients and lengths checked"
 
 
 # ------------------------------------------------------------- borel laplace
@@ -138,7 +139,7 @@ def check_direction_independence(rng):
         a = borel.laplace_sum(borel.LaplaceQuery(nu, kind, x, math.pi / 6, tol))
         b = borel.laplace_sum(borel.LaplaceQuery(nu, kind, x, math.pi / 3, tol))
         worst = max(worst, abs(a - b))
-    return _bounded("borel_laplace", "direction_independence", worst, 2.0 * tol)
+    return _bounded(worst, 2.0 * tol)
 
 
 def check_asymptotic_bound(rng):
@@ -156,10 +157,7 @@ def check_asymptotic_bound(rng):
                 for _, err, bound in rows:
                     worst_ratio = max(worst_ratio, err / bound)
                     ok = ok and err <= bound
-    return CheckResult(
-        "borel_laplace", "gevrey_asymptotic_agreement", ok,
-        f"worst remainder/bound ratio {worst_ratio:.3f}",
-    )
+    return ok, f"worst remainder/bound ratio {worst_ratio:.3f}"
 
 
 def check_resummed_ode(rng):
@@ -168,7 +166,7 @@ def check_resummed_ode(rng):
         for kind in SeriesKind:
             x = 0.1 * cmath.exp(1j * math.pi / 3)
             worst = max(worst, borel.resummed_ode_residual(nu, kind, x, math.pi / 3))
-    return _bounded("borel_laplace", "resummed_defining_equation", worst, 1e-6)
+    return _bounded(worst, 1e-6)
 
 
 def check_jump_closed_forms(rng):
@@ -178,7 +176,7 @@ def check_jump_closed_forms(rng):
             c = borel.stokes_jump_quadrature(nu, kind, x, tol=1e-11)
             closed = borel.jump_coefficient_closed(nu, kind)
             worst = max(worst, abs(c - closed) / abs(closed))
-    return _bounded("borel_laplace", "stokes_jump_closed_forms", worst, 1e-6)
+    return _bounded(worst, 1e-6)
 
 
 # ---------------------------------------------------------- initial equation
@@ -200,7 +198,7 @@ def check_origin_monodromy_structure(rng):
         worst = max(worst, abs(diag[0] - 1.0))
         worst = max(worst, abs(diag[1] - lam) / max(1.0, abs(lam)))
         worst = max(worst, abs(diag[2] - lam) / max(1.0, abs(lam)))
-    return _bounded("initial_equation", "monodromy_group_relation", worst, 1e-12)
+    return _bounded(worst, 1e-12)
 
 
 def check_stokes_identity_at_degenerate(rng):
@@ -208,7 +206,7 @@ def check_stokes_identity_at_degenerate(rng):
     for m in range(0, 8):
         for d in unperturbed.Direction:
             worst = max(worst, max_abs(unperturbed.stokes_matrix(-m, d) - identity3()))
-    return _bounded("initial_equation", "identity_at_nonpositive_integers", worst, 0.0)
+    return _bounded(worst, 0.0)
 
 
 def check_jump_matches_stokes_entry(rng):
@@ -217,7 +215,7 @@ def check_jump_matches_stokes_entry(rng):
         c = borel.stokes_jump_quadrature(nu, SeriesKind.PSI, 0.15, tol=1e-11)
         entry = unperturbed.stokes_matrix(nu, unperturbed.Direction.ZERO)[0, 2]
         worst = max(worst, abs(0.5 * c - entry) / abs(entry))
-    return _bounded("initial_equation", "jump_vs_stokes_entry", worst, 1e-6)
+    return _bounded(worst, 1e-6)
 
 
 # --------------------------------------------------------- perturbed equation
@@ -240,7 +238,7 @@ def check_exponent_identities(rng):
         worst = max(worst, abs(e.delta_L32 - 1.0 / p.sqrt_eps))
         total = sum(e.rho_R) + sum(e.rho_L) + sum(e.rho_inf)
         worst = max(worst, abs(total - 3.0))
-    return _bounded("perturbed_equation", "exponent_identities", worst, 1e-10)
+    return _bounded(worst, 1e-10)
 
 
 RESONANT_PAIRS = (
@@ -262,7 +260,7 @@ def check_residues_vs_oracle(rng):
                 worst = max(worst, (abs(numeric) / 1e-12) * 1e-8)
             else:
                 worst = max(worst, abs(numeric - closed) / abs(closed))
-    return _bounded("perturbed_equation", "residues_vs_contour_oracle", worst, 1e-8)
+    return _bounded(worst, 1e-8)
 
 
 def check_group_factorizations(rng):
@@ -280,7 +278,7 @@ def check_group_factorizations(rng):
         worst = max(worst, max_abs(m_r - d_r @ st_r))
         lhs = m_l @ np.linalg.inv(m_hat) @ m_r @ m_hat
         worst = max(worst, max_abs(lhs - st_l @ st_r @ m_hat))
-    return _bounded("perturbed_equation", "monodromy_factorizations", worst, 1e-12)
+    return _bounded(worst, 1e-12)
 
 
 def check_jordan_structure(rng):
@@ -292,7 +290,7 @@ def check_jordan_structure(rng):
         for m, d, which in ((m_l, res.d_L2, "L"), (m_r, res.d_R3, "R")):
             eigs = oracle.closed_loop_eigenvalues(params, which)
             ok = ok and oracle.detect_log_structure(m, eigs) == (abs(d) > 1e-12)
-    return CheckResult("perturbed_equation", "jordan_structure_detector", ok, "rank test against d != 0")
+    return ok, "rank test against d != 0"
 
 
 def _signed_exponents(nu, signed_sqrt_eps):
@@ -317,7 +315,7 @@ def check_sign_flip_symmetry(rng):
         d_l2, d_r3 = perturbed.log_resonant_d_values(nu, n)
         mirror = 2.0 * cmath.exp(-1j * math.pi * nu) * d_r3
         worst = max(worst, abs(d_l2 - mirror))
-    return _bounded("perturbed_equation", "sign_flip_symmetry", worst, 1e-12)
+    return _bounded(worst, 1e-12)
 
 
 def check_phi23_consistency(rng):
@@ -327,10 +325,9 @@ def check_phi23_consistency(rng):
         s = params.sqrt_eps
         x = -3.0 * s
         quadrature, _ = perturbed.ratio_integral_check(s, 1.0 / s, x, tol=1e-12)
-        phi2 = perturbed._real_axis_diag(params, x)[1]
-        closed = perturbed._real_axis_diag(params, x)[3]
-        worst = max(worst, abs(phi2 * quadrature - closed) / abs(closed))
-    return _bounded("perturbed_equation", "phi23_closed_form_consistency", worst, 1e-8)
+        diag = perturbed._real_axis_diag(params, x)
+        worst = max(worst, abs(diag[1] * quadrature - diag[3]) / abs(diag[3]))
+    return _bounded(worst, 1e-8)
 
 
 # ----------------------------------------------------------------- confluence
@@ -349,7 +346,7 @@ def check_diagonal_factor_constancy(rng):
             d_r = perturbed.monodromy_exponent_factor(params, "R")
             worst = max(worst, max_abs(d_l - target_l), max_abs(d_r - target_r))
             worst = max(worst, max_abs(d_l @ d_r - unperturbed.formal_monodromy(nu)))
-    return _bounded("confluence", "diagonal_factors_constant", worst, 1e-10)
+    return _bounded(worst, 1e-10)
 
 
 def check_confluence_convergence(rng):
@@ -366,7 +363,7 @@ def check_confluence_convergence(rng):
         rate_ok = -2.2 <= rate <= -1.8
         ok = ok and monotone and final_ok and rate_ok
         details.append(f"nu={nu}: final {errs[-1]:.2e}, fitted exponent {rate:+.3f}")
-    return CheckResult("confluence", "convergence_rate_window", ok, "; ".join(details))
+    return ok, "; ".join(details)
 
 
 def check_probe_rate(rng):
@@ -375,7 +372,7 @@ def check_probe_rate(rng):
         e1 = abs(confluence.gamma_ratio_probe(100.0, alpha) - 1.0)
         e2 = abs(confluence.gamma_ratio_probe(200.0, alpha) - 1.0)
         ok = ok and e2 < 0.6 * e1
-    return CheckResult("confluence", "gamma_ratio_probe_rate", ok, "halving z scales the defect by < 0.6")
+    return ok, "halving z scales the defect by < 0.6"
 
 
 # ----------------------------------------------------------------- ode oracle
@@ -390,12 +387,10 @@ def check_loop_orientation(rng):
     worst, _ = oracle._match_eigenvalues(
         tuple(np.linalg.eigvals(m)), tuple(1.0 / np.linalg.eigvals(m_rev))
     )
-    return _bounded("ode_oracle", "loop_reversal_inverts", worst, 1e-6)
+    return _bounded(worst, 1e-6)
 
 
 def check_base_point_independence(rng):
-    from .paths import circle
-
     params = perturbed.PerturbParams.from_resonant_index(0.5, 1)
     system = oracle.CompanionSystem.perturbed(params)
     s = params.sqrt_eps
@@ -405,7 +400,7 @@ def check_base_point_independence(rng):
     e1 = sorted(np.linalg.eigvals(m1), key=lambda v: (v.real, v.imag))
     e2 = sorted(np.linalg.eigvals(m2), key=lambda v: (v.real, v.imag))
     worst = max(abs(a - b) for a, b in zip(e1, e2))
-    return _bounded("ode_oracle", "base_point_independence", worst, 1e-6)
+    return _bounded(worst, 1e-6)
 
 
 def check_radius_independence(rng):
@@ -415,7 +410,7 @@ def check_radius_independence(rng):
     e2 = sorted(r2.eigenvalues_numeric, key=lambda v: (v.real, v.imag))
     worst = max(abs(a - b) for a, b in zip(e1, e2))
     worst = max(worst, abs(float(r1.log_detected) - float(r2.log_detected)))
-    return _bounded("ode_oracle", "radius_independence", worst, 1e-6)
+    return _bounded(worst, 1e-6)
 
 
 def check_determinant_identity(rng):
@@ -427,7 +422,7 @@ def check_determinant_identity(rng):
         rho = e.rho_R if which == "R" else e.rho_L
         det_closed = cmath.exp(2j * math.pi * (sum(rho) - 3.0))
         worst = max(worst, abs(np.linalg.det(report.M_numeric) - det_closed))
-    return _bounded("ode_oracle", "determinant_exponent_sum", worst, 1e-6)
+    return _bounded(worst, 1e-6)
 
 
 # ------------------------------------------------------------------------ cli
@@ -445,7 +440,7 @@ def check_serialization_roundtrip(rng):
         back = json.loads(blob)
         if complex(back["re"], back["im"]) != z:
             worst_bad += 1
-    return CheckResult("cli", "serialization_roundtrip", worst_bad == 0, f"{worst_bad} mismatches in 200")
+    return worst_bad == 0, f"{worst_bad} mismatches in 200"
 
 
 ALL_CHECKS = (
@@ -484,14 +479,14 @@ def run_checks(name_filter: str | None = None, seed: int = 0) -> list:
     """Run the property suite and return one CheckResult per property.
 
     ``name_filter`` keeps the checks whose module tag or name contains the
-    substring; the seed makes every random sample reproducible.  Names are
-    normalized to the registry entries so filtering and reporting agree.
+    substring; the seed makes every random sample reproducible.  Tags come from
+    ``ALL_CHECKS`` and names from the functions, so filtering and reporting agree.
     """
     results = []
     for module, fn in ALL_CHECKS:
         name = fn.__name__.removeprefix("check_")
         if name_filter and name_filter not in module and name_filter not in name:
             continue
-        raw = fn(np.random.default_rng(seed))
-        results.append(CheckResult(module, name, raw.passed, raw.detail))
+        passed, detail = fn(np.random.default_rng(seed))
+        results.append(CheckResult(module, name, passed, detail))
     return results

@@ -211,6 +211,11 @@ def _build_report(m, closed, det_closed) -> MonodromyReport:
     )
 
 
+def _stiffness_guard(params: PerturbParams, allow_stiff: bool) -> None:
+    if 1.0 / params.sqrt_eps > STIFFNESS_LIMIT and not allow_stiff:
+        raise GuardError(f"1/sqrt(eps) = {1.0 / params.sqrt_eps:.3f} exceeds the stiffness guard {STIFFNESS_LIMIT}")
+
+
 def loop_around(params: PerturbParams, which: str) -> ContourPath:
     """The standard loops based at x0 = 0: a circle of radius sqrt(eps)
     around x_R starting at angle pi, or around x_L starting at angle 0."""
@@ -239,10 +244,7 @@ def numerical_monodromy(params: PerturbParams, which: str, tol: float = 1e-9,
     exponents drive the dynamic range on the loop past what double
     precision tracks reliably.
     """
-    if 1.0 / params.sqrt_eps > STIFFNESS_LIMIT and not allow_stiff:
-        raise GuardError(
-            f"1/sqrt(eps) = {1.0 / params.sqrt_eps:.3f} exceeds the stiffness guard {STIFFNESS_LIMIT}"
-        )
+    _stiffness_guard(params, allow_stiff)
     cls = classify_resonance(params)
     if cls not in (ResonanceClass.B, ResonanceClass.C):
         raise ResonanceError(f"closed-form comparison needs class B or C, got {cls.value}")
@@ -278,8 +280,7 @@ def composed_loop_matrix(params: PerturbParams, tol: float = 1e-9,
     """Continuation around gamma_R followed by gamma_L from the same base
     point; its eigenvalues match those of the closed-form inverse monodromy
     at infinity."""
-    if 1.0 / params.sqrt_eps > STIFFNESS_LIMIT and not allow_stiff:
-        raise GuardError("stiffness guard")
+    _stiffness_guard(params, allow_stiff)
     system = CompanionSystem.perturbed(params)
     path = concat(loop_around(params, "R"), loop_around(params, "L"))
     return integrate_path(system, path, identity3(), tol)

@@ -33,7 +33,7 @@ from .unperturbed import exponent_matrices
 
 INTEGRALITY_TOL = 1e-9
 _SINGULARITY_MARGIN = 1e-12
-_SERIES_CROSSOVER = 64  # resonance index above which real-nu d-values come from the midpoint series
+_SERIES_MIN_Z = 8.0  # midpoint z = n + nu/2 from which real-nu d-values come from the series
 # B_{2i}(1/2) = (2^{1-2i} - 1) B_{2i}, i = 0..12: the Bernoulli values of the midpoint series
 _BERNOULLI_HALF = (1.0, -0.08333333333333333, 0.029166666666666667, -0.023065476190476192, 0.03307291666666667,
                    -0.07560961174242424, 0.2529899625114469, -1.1665242513020833, 7.091940427293965,
@@ -369,10 +369,10 @@ def log_resonant_d_values(nu, n: int) -> tuple[complex, complex]:
     Non-positive integer nu gives exact zeros once n >= 1 - nu; smaller n
     sit outside the derived closed forms and raise.
 
-    Accuracy: n <= 64 use the exact product, larger n with real nu the
-    midpoint series where z > 2 |nu|.  Against 50-digit values at n = 65 ...
-    10^6 the d-values and their distance to the limit are within 1e-13
-    relative for |nu| <= 8, and within 1e-12 (that of 1/Gamma) for |nu| <= 50.
+    Accuracy: real nu with z >= 8 and z > 2 |nu| takes the midpoint series, whose
+    d-values and distance to the limit are within 1e-13 relative of 50-digit values
+    for |nu| <= 8 (1e-12, that of 1/Gamma, for |nu| <= 50).  Other rows take the exact
+    product, whose distance cancels: 1.1e-6 relative at nu = 1 + 1e-7, n = 5.
     """
     d_l2, d_r3, _ = log_resonant_d_range(nu, n, n)
     return d_l2[0], d_r3[0]
@@ -394,8 +394,8 @@ def log_resonant_d_range(nu, n_min: int, n_max: int) -> tuple[list, list, list]:
             "for integer nu <= 0 the closed forms need nu/2 + 1/(2 sqrt_eps) >= 1"
         )
     rg = reciprocal_gamma(nu)
-    # real nu takes the series above the crossover and where z > 2 |nu|, so its terms fall 16-fold
-    series_from = max(_SERIES_CROSSOVER, math.floor(2.0 * abs(nu.real) - nu.real / 2.0)) + 1
+    # real nu takes the series where z >= 8 and z > 2 |nu|, so its terms fall 16-fold
+    series_from = max(math.ceil(_SERIES_MIN_Z - nu.real / 2.0), math.floor(2.0 * abs(nu.real) - nu.real / 2.0) + 1)
     split = n_max + 1 if nu.imag else min(max(n_min, series_from), n_max + 1)
     ws = [(n + nu / 2.0) ** (1.0 - nu) * rising_factorial(nu, n) / math.factorial(n)
           for n in range(n_min, split)]

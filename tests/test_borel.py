@@ -46,15 +46,6 @@ def test_asymptotic_partial_sum_agreement():
     assert abs(value - series.partial_sum(x, terms=20)) <= bound
 
 
-def test_gevrey_envelope_all_orders():
-    angle = {SeriesKind.PSI: 2 * math.pi / 3, SeriesKind.PHI: math.pi / 3}
-    for nu in (0.5, 2.0):
-        for kind in SeriesKind:
-            x = 0.1 * cmath.exp(1j * angle[kind])
-            for n, err, bound in su.asymptotic_remainders(nu, kind, x, angle[kind], n_max=15):
-                assert err <= bound, f"order {n}: {err} > {bound}"
-
-
 def test_direction_independence():
     tol = 1e-10
     x = 0.1 * cmath.exp(1j * math.pi / 5)
@@ -170,10 +161,3 @@ def test_jump_quadrature_matches_closed_forms(nu):
 
 def test_jump_zero_for_terminating_case():
     assert abs(su.stokes_jump_quadrature(-1.0, SeriesKind.PSI, 0.15)) <= 1e-8
-
-
-def test_resummed_ode_residual():
-    for nu in (0.5, 2.0):
-        for kind in SeriesKind:
-            x = 0.1 * cmath.exp(1j * math.pi / 3)
-            assert su.resummed_ode_residual(nu, kind, x, math.pi / 3) <= 1e-6

@@ -1,6 +1,5 @@
 """Gamma machinery and the 3x3 matrix helpers."""
 
-import cmath
 import math
 
 import numpy as np
@@ -36,34 +35,11 @@ def test_gamma_pole_raises():
             su.gamma(z)
 
 
-def test_gamma_reflection_property():
-    rng = np.random.default_rng(7)
-    for _ in range(1000):
-        z = random_off_integer(rng)
-        ref = math.pi / cmath.sin(math.pi * z)
-        assert abs(su.gamma(z) * su.gamma(1.0 - z) - ref) <= 1e-10 * abs(ref)
-
-
-def test_gamma_recurrence_property():
-    rng = np.random.default_rng(8)
-    for _ in range(1000):
-        z = random_off_integer(rng)
-        lhs = su.gamma(z + 1.0)
-        assert abs(lhs - z * su.gamma(z)) <= 1e-11 * abs(lhs)
-
-
 def test_reciprocal_gamma_exact_zeros():
     assert su.reciprocal_gamma(0) == 0
     assert su.reciprocal_gamma(-3) == 0
     assert su.reciprocal_gamma(-12.0) == 0
     assert su.reciprocal_gamma(2) == pytest.approx(1.0)
-
-
-def test_reciprocal_gamma_inverts_gamma():
-    rng = np.random.default_rng(9)
-    for _ in range(500):
-        z = random_off_integer(rng)
-        assert abs(su.reciprocal_gamma(z) * su.gamma(z) - 1.0) <= 1e-11
 
 
 def test_rising_factorial_values():
@@ -108,22 +84,6 @@ def test_exp_nilpotent_shape_and_values():
     bad[1, 2] = 0.5
     with pytest.raises(MatrixShapeError):
         su.exp_first_row_nilpotent(bad)
-
-
-def test_exp_nilpotent_matches_series():
-    # brute-force matrix exponential partial sum as the oracle
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        t = np.zeros((3, 3), dtype=complex)
-        t[0, 1] = complex(rng.normal(), rng.normal())
-        t[0, 2] = complex(rng.normal(), rng.normal())
-        scale = complex(rng.normal(), rng.normal())
-        series = np.eye(3, dtype=complex)
-        power = np.eye(3, dtype=complex)
-        for k in range(1, 11):
-            power = power @ (scale * t) / k
-            series = series + power
-        assert su.max_abs(su.exp_first_row_nilpotent(t, scale) - series) <= 1e-14
 
 
 def test_inverse3_matches_numpy():

@@ -147,18 +147,6 @@ def test_first_component_satisfies_scalar_equation():
     assert worst <= 1e-6
 
 
-def test_loop_reversal_gives_inverse_eigenvalues():
-    from stokes_unfold.oracle import _match_eigenvalues
-
-    params = PerturbParams.from_resonant_index(0.5, 1)
-    system = CompanionSystem.perturbed(params)
-    loop = loop_around(params, "R")
-    m = su.integrate_path(system, loop, np.eye(3), tol=1e-10)
-    m_rev = su.integrate_path(system, loop.reversed(), np.eye(3), tol=1e-10)
-    err, _ = _match_eigenvalues(tuple(np.linalg.eigvals(m)), tuple(1.0 / np.linalg.eigvals(m_rev)))
-    assert err <= 1e-6
-
-
 @pytest.mark.parametrize(
     "nu,n,which",
     [(0.5, 1, "R"), (0.5, 2, "R"), (2.0, 1, "L"), (2.0, 2, "R")],
@@ -194,6 +182,9 @@ def test_stiffness_guard():
     params = PerturbParams.from_resonant_index(0.5, 50)
     with pytest.raises(GuardError):
         su.numerical_monodromy(params, "L")
+    # the composed loop refuses through the same guard, with the same message
+    with pytest.raises(GuardError, match=r"1/sqrt\(eps\) = 12\.500 exceeds the stiffness guard 12"):
+        composed_loop_matrix(PerturbParams.from_resonant_index(0.5, 6))
 
 
 def test_stiffness_guard_override():
@@ -225,15 +216,6 @@ def test_unperturbed_radius_bounds():
         su.unperturbed_monodromy(0.5, radius=0.3)
 
 
-def test_radius_independence():
-    r1 = su.unperturbed_monodromy(0.5, radius=0.7, tol=1e-9)
-    r2 = su.unperturbed_monodromy(0.5, radius=1.3, tol=1e-9)
-    e1 = sorted(r1.eigenvalues_numeric, key=lambda v: (round(v.real, 6), round(v.imag, 6)))
-    e2 = sorted(r2.eigenvalues_numeric, key=lambda v: (round(v.real, 6), round(v.imag, 6)))
-    assert max(abs(a - b) for a, b in zip(e1, e2)) <= 1e-6
-    assert r1.log_detected == r2.log_detected
-
-
 def test_base_point_independence():
     # same invariants from the standard base point 0 and from i sqrt(eps)/2
     params = PerturbParams.from_resonant_index(0.5, 1)
@@ -250,14 +232,6 @@ def test_base_point_independence():
     e1 = sorted(np.linalg.eigvals(m1), key=lambda v: (round(v.real, 6), round(v.imag, 6)))
     e2 = sorted(np.linalg.eigvals(m2), key=lambda v: (round(v.real, 6), round(v.imag, 6)))
     assert max(abs(a - b) for a, b in zip(e1, e2)) <= 1e-6
-
-
-def test_determinant_matches_exponent_sum():
-    params = PerturbParams.from_resonant_index(0.5, 1)
-    report = su.numerical_monodromy(params, "R", tol=1e-10)
-    e = su.characteristic_exponents(params)
-    det_closed = cmath.exp(2j * math.pi * (sum(e.rho_R) - 3.0))
-    assert abs(np.linalg.det(report.M_numeric) - det_closed) <= 1e-6
 
 
 def test_closed_loop_eigenvalues_at_resonance():

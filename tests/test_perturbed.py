@@ -24,7 +24,7 @@ from stokes_unfold.errors import (
     ResonanceError,
     SingularPointError,
 )
-from stokes_unfold.perturbed import _real_axis_diag, monodromy_exponent_factor, resonance_index
+from stokes_unfold.perturbed import monodromy_exponent_factor, resonance_index
 
 # 30-digit quadrature of the defining iterated integrals at nu = 1/2, n = 2
 PHI12_HALF_N2_AT_05 = 0.0075640123246726374
@@ -389,17 +389,6 @@ def test_offdiag_quadrature_reference_values():
     assert v12 == pytest.approx(PHI12_HALF_N2_AT_05, rel=1e-9)
     v13 = su.offdiag_solution_quadrature(p, -0.5, OffDiagonal.PHI13, tol=1e-11)
     assert v13 == pytest.approx(PHI13_HALF_N2_AT_M05, rel=1e-9)
-
-
-def test_offdiag_phi23_consistency():
-    # Phi2 times the closed ratio integral reproduces -(1/2)(x^2-eps)^{(nu-2)/2}
-    for nu, n in [(0.5, 2), (2.0, 1)]:
-        p = PerturbParams.from_resonant_index(nu, n)
-        s = p.sqrt_eps
-        x = -3.0 * s
-        quadrature, _ = su.ratio_integral_check(s, 1.0 / s, x, tol=1e-12)
-        diag = _real_axis_diag(p, x)
-        assert abs(diag[1] * quadrature - diag[3]) <= 1e-8 * abs(diag[3])
 
 
 def test_offdiag_confluence_limit():

@@ -39,17 +39,6 @@ def test_coefficients_match_rising_factorials():
             assert phi.coefficients[n] == pytest.approx((-1) ** n * rf, abs=1e-12 * max(1, abs(rf)))
 
 
-def test_terminating_top_coefficients():
-    # exactly -nu+1 nonzero coefficients; tops are (-1)^m m! and m!
-    for m in range(4):
-        psi = su.build_series(-m, SeriesKind.PSI, 12)
-        phi = su.build_series(-m, SeriesKind.PHI, 12)
-        assert sum(1 for c in psi.coefficients if c != 0) == m + 1
-        assert sum(1 for c in phi.coefficients if c != 0) == m + 1
-        assert psi.coefficients[m] == (-1) ** m * math.factorial(m)
-        assert phi.coefficients[m] == math.factorial(m)
-
-
 def test_gevrey_constants_and_check():
     assert su.gevrey_constants(0.5) == (1.0, 1.0)
     assert su.gevrey_constants(3.0) == (1.0, 4.0)

@@ -84,11 +84,3 @@ def test_monodromy_origin_group_relation_and_spectrum():
         assert abs(diag[0] - 1.0) <= 1e-13
         assert abs(diag[1] - lam) <= 1e-12 * max(1.0, abs(lam))
         assert abs(diag[2] - lam) <= 1e-12 * max(1.0, abs(lam))
-
-
-def test_jump_coefficient_consistency_with_stokes_entry():
-    # (1/2) c_psi equals the direction-0 entry -pi i / Gamma(nu)
-    for nu in (0.5, 2.0, 3.7):
-        c = su.stokes_jump_quadrature(nu, SeriesKind.PSI, 0.15, tol=1e-11)
-        entry = su.stokes_matrix(nu, Direction.ZERO)[0, 2]
-        assert abs(0.5 * c - entry) <= 1e-6 * abs(entry)
