@@ -25,7 +25,6 @@ from .quad import integrate_chain
 from .series import SeriesKind, build_series, gevrey_constants
 
 TOL_DEFAULT = 1e-10
-TOL_ABS_DEFAULT = 1e-12
 DELTA_DEFAULT = math.pi / 12
 _RAY_MARGIN = 10.0  # times sqrt(tol), minimum ray clearance from the Borel singularity
 

@@ -98,7 +98,7 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_perturbed(args) -> int:
-    params = PerturbParams.from_resonant_index(args.nu.real if args.nu.imag == 0 else args.nu, args.n)
+    params = PerturbParams.from_resonant_index(args.nu, args.n)
     exp = characteristic_exponents(params)
     cls = classify_resonance(params)
     res = residues(params)
@@ -222,8 +222,7 @@ def cmd_oracle(args) -> int:
     else:
         if args.n is None:
             raise ResonanceError("--n is required for the L and R loops")
-        nu = args.nu.real if args.nu.imag == 0 else args.nu
-        params = PerturbParams.from_resonant_index(nu, args.n)
+        params = PerturbParams.from_resonant_index(args.nu, args.n)
         report = numerical_monodromy(params, args.which, tol=args.tol)
         expected_log = expected_log_flag(params, args.which)
         params_json = {"nu": complex_to_json(args.nu), "n": args.n, "which": args.which}
@@ -312,7 +311,7 @@ def main(argv=None) -> int:
     except ToleranceError as exc:
         _emit({"error": {"exit_code": EXIT_TOLERANCE, "type": type(exc).__name__, "message": str(exc)}})
         return EXIT_TOLERANCE
-    except (ResonanceError, StokesUnfoldError, ValueError) as exc:
+    except (StokesUnfoldError, ValueError) as exc:
         _emit({"error": {"exit_code": EXIT_REGIME, "type": type(exc).__name__, "message": str(exc)}})
         return EXIT_REGIME
 

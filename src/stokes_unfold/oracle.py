@@ -21,9 +21,9 @@ from .paths import ContourPath, circle, concat
 from .perturbed import (
     PerturbParams,
     ResonanceClass,
+    _partial_fraction_weights,
     characteristic_exponents,
     classify_resonance,
-    coefficients_a,
     residues,
 )
 from .unperturbed import monodromy_origin
@@ -34,65 +34,56 @@ JORDAN_RTOL = 1e-4
 _EIG_GROUP_TOL = 1e-8
 _MAX_STEPS = 200_000
 
-# Dormand-Prince 5(4) tableau
+# Dormand-Prince 5(4) tableau. Row i of _DP_A weights stages 0..i-1 in the argument
+# of stage i; its last row is b5, so the last stage is the derivative at y5.
 _DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+_DP_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+])
+_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
+_DP_E = np.append(_DP_A[6], 0.0) - _DP_B4  # b5 - b4, the weights of the error estimate
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompanionSystem:
-    """Y' = A(x) Y with A upper bidiagonal: diagonal from the factor
-    coefficients, ones on the superdiagonal.
-
-    ``params = None`` selects the unperturbed equation with its irregular
-    point at the origin.
+    """Y' = A(x) Y with A upper bidiagonal: ones on the superdiagonal, and on the diagonal
+    a(x) = weights @ (x - poles)^(-powers), a table fixed when the system is built.
     """
 
-    params: PerturbParams | None
-    nu: complex
+    poles: np.ndarray
+    powers: np.ndarray
+    weights: np.ndarray  # 3 x J
+    scale: float  # length unit of the clearance around the poles
 
     @classmethod
     def perturbed(cls, params: PerturbParams) -> "CompanionSystem":
-        return cls(params, params.nu)
+        """a_k = w_R/(x - x_R) + w_L/(x - x_L)."""
+        return cls(np.array([params.x_R, params.x_L], dtype=complex), np.array([1, 1]),
+                   np.array(_partial_fraction_weights(params), dtype=complex), params.sqrt_eps)
 
     @classmethod
     def unperturbed(cls, nu) -> "CompanionSystem":
-        return cls(None, complex(nu))
+        """a = (0, nu - 2, nu - 4)/x + (1, 2, 0)/x^2: irregular at the origin."""
+        return cls(np.zeros(2, dtype=complex), np.array([1, 2]),
+                   np.array([(0, 1), (nu - 2, 2), (nu - 4, 0)], dtype=complex), 1.0)
 
     def matrix(self, x) -> np.ndarray:
-        x = complex(x)
-        if self.params is None:
-            a1 = 1.0 / (x * x)
-            a2 = (self.nu - 2.0) / x + 2.0 / (x * x)
-            a3 = (self.nu - 4.0) / x
-        else:
-            a1, a2, a3 = coefficients_a(self.params, x)
         a = np.zeros((3, 3), dtype=complex)
-        a[0, 0] = a1
-        a[1, 1] = a2
-        a[2, 2] = a3
-        a[0, 1] = 1.0
-        a[1, 2] = 1.0
+        a.reshape(9)[::4] = self.weights @ (x - self.poles) ** -self.powers
+        a[0, 1] = a[1, 2] = 1.0
         return a
 
     def singularities(self) -> tuple:
-        if self.params is None:
-            return (0j,)
-        return (complex(self.params.x_L), complex(self.params.x_R))
+        return tuple(complex(p) for p in np.unique(self.poles))
 
     def clearance(self) -> float:
-        scale = 1.0 if self.params is None else self.params.sqrt_eps
-        return CLEARANCE_FACTOR * scale
+        return CLEARANCE_FACTOR * self.scale
 
 
 @dataclass(frozen=True)
@@ -124,29 +115,28 @@ def integrate_path(system: CompanionSystem, path: ContourPath, y0, tol: float = 
 
 def _integrate_segment(system: CompanionSystem, segment, y: np.ndarray, tol: float) -> np.ndarray:
     def rhs(s: float, m: np.ndarray) -> np.ndarray:
-        return segment.velocity(s) * (system.matrix(segment.point(s)) @ m)
+        return segment.velocity(s) * (system.matrix(segment.point(s)) @ m.reshape(3, 3)).reshape(9)
 
     s = 0.0
     h = 0.05
     err_prev = 1.0
-    k = [None] * 7
+    y = y.reshape(9)
+    k = np.empty((7, 9), dtype=complex)  # the stages, one flattened matrix per row
     k[0] = rhs(0.0, y)
     for _ in range(_MAX_STEPS):
         if s >= 1.0:
-            return y
+            return y.reshape(3, 3)
         h = min(h, 1.0 - s)
         if h < 1e-12:
             raise StepUnderflowError(f"step size underflow at s = {s:.6f} on {segment}")
         for i in range(1, 7):
-            acc = sum(aij * k[j] for j, aij in enumerate(_DP_A[i]) if aij != 0.0)
-            k[i] = rhs(s + _DP_C[i] * h, y + h * acc)
-        y5 = y + h * sum(b * k[i] for i, b in enumerate(_DP_B5) if b != 0.0)
-        err_mat = h * sum((b5 - b4) * k[i] for i, (b5, b4) in enumerate(zip(_DP_B5, _DP_B4)))
-        err = max_abs(err_mat) / max(1.0, max_abs(y5))
+            y_stage = y + h * (_DP_A[i, :i] @ k[:i])
+            k[i] = rhs(s + _DP_C[i] * h, y_stage)
+        err = max_abs(h * (_DP_E @ k)) / max(1.0, max_abs(y_stage))
         if err <= tol:
             s += h
-            y = y5
-            k[0] = rhs(s, y)  # first-same-as-last restart
+            y = y_stage
+            k[0] = k[6]  # first-same-as-last: y_stage was y5, the last stage's argument
             factor = 0.9 * (tol / max(err, 1e-300)) ** 0.2 * (err_prev / tol) ** 0.04
             err_prev = max(err, 1e-300)
             h *= min(5.0, max(0.2, factor))

@@ -304,29 +304,29 @@ def diagonal_solutions(params: PerturbParams, x) -> tuple:
     """
     x = complex(x)
     s = params.sqrt_eps
-    nu = params.nu
     if abs(x.imag) < _SINGULARITY_MARGIN and x.real <= s + _SINGULARITY_MARGIN:
         raise BranchCutError(f"x = {x} lies on a branch cut of the diagonal solutions")
     lr = cmath.log(x - s)
     ll = cmath.log(x + s)
-    z = 1.0 / (2.0 * s)
-    phi1 = cmath.exp(z * (lr - ll))
-    phi2 = cmath.exp(0.5 * (nu - 2.0) * (lr + ll) + 2.0 * z * (lr - ll))
-    phi3 = cmath.exp(0.5 * (nu - 4.0) * (lr + ll))
-    phi23 = -0.5 * cmath.exp(0.5 * (nu - 2.0) * (lr + ll))
-    return phi1, phi2, phi3, phi23
+    return _diag_from_logs(params, lr + ll, lr - ll)
 
 
 def _real_axis_diag(params: PerturbParams, x: float) -> tuple:
     """Diagonal entries on the real trajectories |x| > sqrt(eps), using the
     real positive determination of (x^2 - eps)^p and of the factor ratio."""
     s = params.sqrt_eps
-    nu = params.nu
     if abs(x) <= s:
         raise SingularPointError("real-axis determination needs |x| > sqrt(eps)")
     log_q = math.log(x * x - s * s)
     log_ratio = math.log((x - s) / (x + s)) if x > s else math.log((s - x) / (-x - s))
-    z = 1.0 / (2.0 * s)
+    return _diag_from_logs(params, log_q, log_ratio)
+
+
+def _diag_from_logs(params: PerturbParams, log_q, log_ratio) -> tuple:
+    """(Phi1, Phi2, Phi3, Phi23) from the chosen logarithms of
+    q = (x - x_R)(x - x_L) and of the ratio (x - x_R)/(x - x_L)."""
+    nu = params.nu
+    z = 1.0 / (2.0 * params.sqrt_eps)
     phi1 = cmath.exp(z * log_ratio)
     phi2 = cmath.exp(0.5 * (nu - 2.0) * log_q + 2.0 * z * log_ratio)
     phi3 = cmath.exp(0.5 * (nu - 4.0) * log_q)

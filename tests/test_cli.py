@@ -98,6 +98,15 @@ def test_perturbed_invalid_regime_exit_code(capsys):
     assert "message" in rec["error"]
 
 
+@pytest.mark.parametrize("argv", [("perturbed",), ("oracle", "--which", "R")])
+def test_complex_nu_on_resonant_sequence_exit_code(capsys, argv):
+    # the resonant sequence 1/sqrt(eps) = nu + 2 n is defined for real nu only
+    code, rec = run_json(capsys, *argv, "--nu", "0.5+0.25i", "--n", "1")
+    assert code == 3
+    assert rec["error"]["exit_code"] == 3
+    assert "real nu" in rec["error"]["message"]
+
+
 def test_confluence_csv_format(capsys):
     code, out = run_cli(capsys, "confluence", "--nu", "2", "--n-min", "1", "--n-max", "5", "--format", "csv")
     assert code == 0

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -49,6 +50,57 @@ def test_constant_coefficient_against_series_exponential():
     system = FrozenSystem(a)
     y = su.integrate_path(system, polyline(0.0, 1.0), np.eye(3), tol=1e-11)
     assert su.max_abs(y - series_exp(a)) <= 1e-10
+
+
+OFF_AXIS_POINTS = (0.3 + 0.2j, -0.7 + 0.05j, 0.01 - 0.4j, 2.5 + 1.5j)
+
+
+@pytest.mark.parametrize("nu,sqrt_eps", [(0.5, 0.25), (3.3 + 0.7j, 0.1), (-1.0, 0.6)])
+def test_perturbed_companion_matrix(nu, sqrt_eps):
+    params = PerturbParams(nu, sqrt_eps)
+    system = CompanionSystem.perturbed(params)
+    for x in OFF_AXIS_POINTS:
+        a = system.matrix(x)
+        expected = np.diag(su.coefficients_a(params, x)) + np.eye(3, k=1)
+        assert np.allclose(a, expected, rtol=1e-14, atol=0.0)
+    assert system.singularities() == (complex(params.x_L), complex(params.x_R))
+    assert system.clearance() == 1e-3 * sqrt_eps
+
+
+@pytest.mark.parametrize("nu", [0.5, 3.0, -2.0, 0.5 + 0.25j])
+def test_unperturbed_companion_matrix(nu):
+    system = CompanionSystem.unperturbed(nu)
+    for x in OFF_AXIS_POINTS:
+        expected = np.diag([1 / x**2, (nu - 2) / x + 2 / x**2, (nu - 4) / x]) + np.eye(3, k=1)
+        assert np.allclose(system.matrix(x), expected, rtol=1e-14, atol=0.0)
+    assert system.singularities() == (0j,)
+    assert system.clearance() == 1e-3
+
+
+def test_transport_evaluates_each_point_at_most_twice():
+    # the last two Dormand-Prince stages share the node c = 1; reusing the last
+    # stage as the next step's first leaves no third evaluation at that point
+    params = PerturbParams.from_resonant_index(0.5, 1)
+
+    class Recording:
+        def __init__(self):
+            self.system = CompanionSystem.perturbed(params)
+            self.points = []
+
+        def matrix(self, x):
+            self.points.append(x)
+            return self.system.matrix(x)
+
+        def singularities(self):
+            return self.system.singularities()
+
+        def clearance(self):
+            return self.system.clearance()
+
+    recording = Recording()
+    su.integrate_path(recording, loop_around(params, "R"), np.eye(3), tol=1e-9)
+    assert max(Counter(recording.points).values()) == 2
+    assert len(recording.points) % 6 == 1  # six per step attempt, one to start the segment
 
 
 def test_contractible_loop_is_identity():
