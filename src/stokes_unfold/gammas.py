@@ -15,6 +15,13 @@ from .errors import GammaPoleError
 
 POLE_TOLERANCE = 1e-9
 
+# Bernoulli numbers B_0, B_2, ..., B_24 as (numerator, denominator); B_1 = -1/2 and the odd
+# ones beyond vanish.  Every Stirling-type series in the package takes its coefficients from here.
+BERNOULLI_EVEN = (
+    (1, 1), (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510),
+    (43867, 798), (-174611, 330), (854513, 138), (-236364091, 2730),
+)
+
 _LANCZOS_G = 7.0
 _LANCZOS = (
     0.99999999999980993,

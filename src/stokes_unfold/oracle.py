@@ -114,15 +114,19 @@ def integrate_path(system: CompanionSystem, path: ContourPath, y0, tol: float = 
 
 
 def _integrate_segment(system: CompanionSystem, segment, y: np.ndarray, tol: float) -> np.ndarray:
-    def rhs(s: float, m: np.ndarray) -> np.ndarray:
-        return segment.velocity(s) * (system.matrix(segment.point(s)) @ m.reshape(3, 3)).reshape(9)
+    def coefficients(s: float) -> tuple:
+        return segment.velocity(s), system.matrix(segment.point(s))
+
+    def rhs(coeff: tuple, m: np.ndarray) -> np.ndarray:
+        velocity, a = coeff
+        return velocity * (a @ m.reshape(3, 3)).reshape(9)
 
     s = 0.0
     h = 0.05
     err_prev = 1.0
     y = y.reshape(9)
     k = np.empty((7, 9), dtype=complex)  # the stages, one flattened matrix per row
-    k[0] = rhs(0.0, y)
+    k[0] = rhs(coefficients(0.0), y)
     for _ in range(_MAX_STEPS):
         if s >= 1.0:
             return y.reshape(3, 3)
@@ -131,7 +135,9 @@ def _integrate_segment(system: CompanionSystem, segment, y: np.ndarray, tol: flo
             raise StepUnderflowError(f"step size underflow at s = {s:.6f} on {segment}")
         for i in range(1, 7):
             y_stage = y + h * (_DP_A[i, :i] @ k[:i])
-            k[i] = rhs(s + _DP_C[i] * h, y_stage)
+            if i < 6:  # stages 5 and 6 share the node c = 1, so the last one reuses A(x)
+                coeff = coefficients(s + _DP_C[i] * h)
+            k[i] = rhs(coeff, y_stage)
         err = max_abs(h * (_DP_E @ k)) / max(1.0, max_abs(y_stage))
         if err <= tol:
             s += h

@@ -26,7 +26,7 @@ from .errors import (
     ResonanceError,
     SingularPointError,
 )
-from .gammas import reciprocal_gamma, rising_factorial
+from .gammas import BERNOULLI_EVEN, reciprocal_gamma, rising_factorial
 from .mat3 import exp_diagonal, exp_first_row_nilpotent, max_abs
 from .quad import integrate_chain, integrate_segment, jacobi_panel
 from .unperturbed import exponent_matrices
@@ -34,10 +34,9 @@ from .unperturbed import exponent_matrices
 INTEGRALITY_TOL = 1e-9
 _SINGULARITY_MARGIN = 1e-12
 _SERIES_MIN_Z = 8.0  # midpoint z = n + nu/2 from which real-nu d-values come from the series
-# B_{2i}(1/2) = (2^{1-2i} - 1) B_{2i}, i = 0..12: the Bernoulli values of the midpoint series
-_BERNOULLI_HALF = (1.0, -0.08333333333333333, 0.029166666666666667, -0.023065476190476192, 0.03307291666666667,
-                   -0.07560961174242424, 0.2529899625114469, -1.1665242513020833, 7.091940427293965,
-                   -54.970758548057766, 529.123233199842, -6192.120235771373, 86580.24279238265)
+# B_{2i}(1/2) = (2^{1-2i} - 1) B_{2i}, i = 0..12, each a correctly rounded quotient of
+# integers: the Bernoulli values of the midpoint series
+_BERNOULLI_HALF = tuple((2 - 4 ** i) * num / (4 ** i * den) for i, (num, den) in enumerate(BERNOULLI_EVEN))
 _JACOBI_MAX_EXPONENT = 40.0
 
 

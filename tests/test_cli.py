@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import stokes_unfold
 from stokes_unfold.cli import CSV_HEADER, main
 
 
@@ -222,3 +227,40 @@ def test_module_entry_point():
     assert proc.returncode == 0
     rec = json.loads(proc.stdout)
     assert rec["command"] == "invariants"
+
+
+_WITHOUT_SCIPY = """
+import contextlib, io, json, sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(name + " is blocked")
+
+sys.meta_path.insert(0, BlockScipy())
+import stokes_unfold as su
+from stokes_unfold import cli
+
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(["check"])
+results = json.loads(out.getvalue())["payload"]["results"]
+quadrature, closed = su.ratio_integral_check(0.5, 2.0, -1.0)
+probe = su.gamma_ratio_probe(500.0, 0.3 + 0.2j)
+print(json.dumps({"code": code, "passed": sum(r["passed"] for r in results), "total": len(results),
+                  "ratio_error": abs(quadrature - closed) / abs(closed), "probe_defect": abs(probe - 1.0),
+                  "scipy_loaded": "scipy" in sys.modules}))
+"""
+
+
+def test_check_runs_with_scipy_blocked():
+    src = str(Path(stokes_unfold.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY], env=env, capture_output=True, text=True,
+                           timeout=300)
+    assert child.returncode == 0, child.stderr
+    rec = json.loads(child.stdout.splitlines()[-1])
+    assert (rec["code"], rec["passed"], rec["total"]) == (0, 28, 28)
+    assert rec["ratio_error"] < 1e-9
+    assert 0.0 < rec["probe_defect"] < 1e-3
+    assert rec["scipy_loaded"] is False

@@ -60,6 +60,18 @@ def test_gamma_ratio_probe_complex_alpha():
     assert abs(v - 1.0) < 1e-3
 
 
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 1.7, -0.8, 3.2, 0.3 + 0.2j, -1.1 + 2j])
+def test_gamma_ratio_probe_matches_mpmath(alpha):
+    # a difference of two log-Gammas near 8e4 at z = 1e4 would miss by ~1e-11
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        a = mp.mpmathify(alpha)
+        for z in np.geomspace(abs(alpha) + 1.05, 1e4, 25):
+            zz = mp.mpf(float(z))
+            ref = complex(mp.exp(mp.loggamma(zz + a) - mp.loggamma(zz) - a * mp.log(zz)))
+            assert abs(su.gamma_ratio_probe(float(z), alpha) - ref) <= 1e-14 * abs(ref), z
+
+
 def test_table_nu2_sits_at_the_limit():
     rows = su.confluence_table(2.0, 1, 5)
     for r in rows:

@@ -77,9 +77,9 @@ def test_unperturbed_companion_matrix(nu):
     assert system.clearance() == 1e-3
 
 
-def test_transport_evaluates_each_point_at_most_twice():
-    # the last two Dormand-Prince stages share the node c = 1; reusing the last
-    # stage as the next step's first leaves no third evaluation at that point
+def test_transport_evaluates_each_point_once():
+    # the last two Dormand-Prince stages share the node c = 1 and one A(x); reusing
+    # the last stage as the next step's first leaves no second evaluation there
     params = PerturbParams.from_resonant_index(0.5, 1)
 
     class Recording:
@@ -99,8 +99,8 @@ def test_transport_evaluates_each_point_at_most_twice():
 
     recording = Recording()
     su.integrate_path(recording, loop_around(params, "R"), np.eye(3), tol=1e-9)
-    assert max(Counter(recording.points).values()) == 2
-    assert len(recording.points) % 6 == 1  # six per step attempt, one to start the segment
+    assert max(Counter(recording.points).values()) == 1
+    assert len(recording.points) % 5 == 1  # five per step attempt, one to start the segment
 
 
 def test_contractible_loop_is_identity():
