@@ -24,6 +24,7 @@ from .borel import (
 )
 from .confluence import (
     ConfluenceRow,
+    ConfluenceTable,
     confluence_table,
     fitted_rate,
     gamma_ratio_probe,

@@ -354,12 +354,12 @@ def check_confluence_convergence(rng):
     details = []
     ok = True
     for nu in (0.5, 3.3):
-        rows = confluence.confluence_table(nu, 10, 1000)
-        errs = [r.stokes_err_R for r in rows]
+        table = confluence.confluence_table(nu, 10, 1000)
+        errs = table.stokes_err_R
         tail = errs[len(errs) // 2 :]
-        monotone = all(a >= b for a, b in zip(tail, tail[1:]))
-        final_ok = errs[-1] <= 1e-3
-        rate = confluence.fitted_rate(rows, "stokes_err_R")
+        monotone = bool(np.all(tail[:-1] >= tail[1:]))
+        final_ok = bool(errs[-1] <= 1e-3)
+        rate = confluence.fitted_rate(table, "stokes_err_R")
         rate_ok = -2.2 <= rate <= -1.8
         ok = ok and monotone and final_ok and rate_ok
         details.append(f"nu={nu}: final {errs[-1]:.2e}, fitted exponent {rate:+.3f}")

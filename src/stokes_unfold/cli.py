@@ -44,6 +44,11 @@ EXIT_GUARD = 4
 EXIT_TOLERANCE = 5
 
 CSV_HEADER = "n,sqrt_eps,d_L2_re,d_L2_im,d_R3_re,d_R3_im,err_L2,err_R3,stokes_err_L,stokes_err_R"
+# one %-format per row prints each float as format(x, ".17g") does; one block's row
+# lists and text are the only per-row Python objects alive at once, so the block
+# size bounds the memory the text output adds to the table's columns
+_CSV_ROW = "%d" + ",%.17g" * 9 + "\n"
+_CSV_BLOCK_ROWS = 4096
 
 
 def complex_to_json(z) -> dict:
@@ -75,10 +80,6 @@ def _record(command: str, params: dict, payload: dict) -> dict:
 def _emit(obj) -> None:
     json.dump(obj, sys.stdout, indent=2)
     sys.stdout.write("\n")
-
-
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
 
 
 def cmd_invariants(args) -> int:
@@ -136,29 +137,32 @@ def cmd_perturbed(args) -> int:
     return EXIT_OK
 
 
-def _confluence_rows(args):
+def _confluence_table(args):
     nu = args.nu
     if nu.imag != 0:
         raise ResonanceError("confluence tables need real nu")
     return confluence_table(nu.real, args.n_min, args.n_max)
 
 
-def _csv_lines(rows):
-    yield CSV_HEADER
-    for r in rows:
-        yield ",".join(
-            [str(r.n), _fmt(r.sqrt_eps), _fmt(r.d_L2.real), _fmt(r.d_L2.imag),
-             _fmt(r.d_R3.real), _fmt(r.d_R3.imag), _fmt(r.err_L2), _fmt(r.err_R3),
-             _fmt(r.stokes_err_L), _fmt(r.stokes_err_R)]
-        )
+def _columns(table):
+    """The table's real columns in CSV_HEADER order."""
+    return (table.n, table.sqrt_eps, table.d_L2.real, table.d_L2.imag, table.d_R3.real, table.d_R3.imag,
+            table.err_L2, table.err_R3, table.stokes_err_L, table.stokes_err_R)
 
 
-def _write_gnuplot(prefix: str, rows) -> None:
+def _csv_blocks(table):
+    """The CSV text: the header, then blocks of at most _CSV_BLOCK_ROWS rows."""
+    yield CSV_HEADER + "\n"
+    columns = _columns(table)
+    for lo in range(0, len(table), _CSV_BLOCK_ROWS):
+        yield "".join([_CSV_ROW % row for row in zip(*(c[lo:lo + _CSV_BLOCK_ROWS].tolist() for c in columns))])
+
+
+def _write_gnuplot(prefix: str, table) -> None:
     csv_path = prefix + ".csv"
     script_path = prefix + ".gp"
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in _csv_lines(rows):
-            fh.write(line + "\n")
+        fh.writelines(_csv_blocks(table))
     script = "\n".join(
         [
             "set datafile separator ','",
@@ -175,12 +179,11 @@ def _write_gnuplot(prefix: str, rows) -> None:
 
 
 def cmd_confluence(args) -> int:
-    rows = _confluence_rows(args)
+    table = _confluence_table(args)
     if args.gnuplot:
-        _write_gnuplot(args.gnuplot, rows)
+        _write_gnuplot(args.gnuplot, table)
     if args.format == "csv":
-        for line in _csv_lines(rows):
-            sys.stdout.write(line + "\n")
+        sys.stdout.writelines(_csv_blocks(table))
         return EXIT_OK
     lim_l2, lim_r3 = limit_targets(args.nu.real)
     payload = {
@@ -188,22 +191,23 @@ def cmd_confluence(args) -> int:
         "limit_d_R3": complex_to_json(lim_r3),
         "rows": [
             {
-                "n": r.n,
-                "sqrt_eps": r.sqrt_eps,
-                "d_L2": complex_to_json(r.d_L2),
-                "d_R3": complex_to_json(r.d_R3),
-                "err_L2": r.err_L2,
-                "err_R3": r.err_R3,
-                "stokes_err_L": r.stokes_err_L,
-                "stokes_err_R": r.stokes_err_R,
+                "n": n,
+                "sqrt_eps": sqrt_eps,
+                "d_L2": {"re": l2_re, "im": l2_im},
+                "d_R3": {"re": r3_re, "im": r3_im},
+                "err_L2": err_l2,
+                "err_R3": err_r3,
+                "stokes_err_L": st_err_l,
+                "stokes_err_R": st_err_r,
             }
-            for r in rows
+            for n, sqrt_eps, l2_re, l2_im, r3_re, r3_im, err_l2, err_r3, st_err_l, st_err_r
+            in zip(*(c.tolist() for c in _columns(table)))
         ],
     }
-    if len(rows) >= 4:
+    if len(table) >= 4:
         try:
-            payload["fitted_rate_L"] = fitted_rate(rows, "stokes_err_L")
-            payload["fitted_rate_R"] = fitted_rate(rows, "stokes_err_R")
+            payload["fitted_rate_L"] = fitted_rate(table, "stokes_err_L")
+            payload["fitted_rate_R"] = fitted_rate(table, "stokes_err_R")
         except ValueError:
             pass
     _emit(_record(

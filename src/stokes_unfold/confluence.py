@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,30 +106,86 @@ def thread_count() -> int:
     return 1
 
 
-def confluence_table(nu: float, n_min: int, n_max: int) -> list:
-    """ConfluenceRow per index, ordered by n; rows are emitted even when a
-    downstream convergence check would fail (the table is the artifact).
+@dataclass(frozen=True, eq=False)
+class ConfluenceTable(Sequence):
+    """The convergence table as read-only numpy columns, one entry per resonance index.
 
-    The error columns are delta, delta/2, 2 pi delta and pi delta, with
-    delta = |d_L2 - d_L2(inf)|: exp(2 pi i T_j) differs from the Stokes
-    matrix only by 2 pi i (d_j - d_j(inf)) in one entry, and |e^{i pi (1-nu)}| = 1."""
+    ``n``, ``sqrt_eps`` and ``delta = |d_L2 - d_L2(inf)|`` are int and float columns,
+    ``d_L2`` and ``d_R3`` complex.  The error columns are the properties ``err_L2``,
+    ``err_R3``, ``stokes_err_L`` and ``stokes_err_R``: delta, delta/2, 2 pi delta and
+    pi delta.  As a sequence, item i is the ConfluenceRow of index n[i] with Python
+    int, float and complex fields, built when it is read.
+    """
+
+    n: np.ndarray
+    sqrt_eps: np.ndarray
+    d_L2: np.ndarray
+    d_R3: np.ndarray
+    delta: np.ndarray
+
+    def __post_init__(self):
+        for name in ("n", "sqrt_eps", "d_L2", "d_R3", "delta"):
+            column = getattr(self, name).view()
+            if column.shape != self.n.shape or column.ndim != 1:
+                raise ValueError(f"column {name} has shape {column.shape}, n has {self.n.shape}")
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    @property
+    def err_L2(self) -> np.ndarray:
+        return self.delta
+
+    @property
+    def err_R3(self) -> np.ndarray:
+        return 0.5 * self.delta
+
+    @property
+    def stokes_err_L(self) -> np.ndarray:
+        return 2.0 * math.pi * self.delta
+
+    @property
+    def stokes_err_R(self) -> np.ndarray:
+        return math.pi * self.delta
+
+    def __len__(self) -> int:
+        return len(self.n)
+
+    def __getitem__(self, i: int) -> ConfluenceRow:
+        i = operator.index(i)
+        return _row(self.n[i].item(), self.sqrt_eps[i].item(), self.d_L2[i].item(), self.d_R3[i].item(),
+                    self.delta[i].item())
+
+    def __iter__(self):
+        return map(_row, self.n.tolist(), self.sqrt_eps.tolist(), self.d_L2.tolist(), self.d_R3.tolist(),
+                   self.delta.tolist())
+
+
+def _row(n: int, sqrt_eps: float, d_l2: complex, d_r3: complex, delta: float) -> ConfluenceRow:
+    return ConfluenceRow(n, sqrt_eps, d_l2, d_r3, delta, 0.5 * delta, 2.0 * math.pi * delta, math.pi * delta)
+
+
+def confluence_table(nu: float, n_min: int, n_max: int) -> ConfluenceTable:
+    """ConfluenceTable of the indices n_min..n_max, in order; rows are emitted even
+    when a downstream convergence check would fail (the table is the artifact).
+
+    Arrays of d_L2, d_R3 and delta = |d_L2 - d_L2(inf)| come from one vectorized
+    pass.  The error columns are delta, delta/2, 2 pi delta and pi delta:
+    exp(2 pi i T_j) differs from the Stokes matrix only by 2 pi i (d_j - d_j(inf))
+    in one entry, and |e^{i pi (1-nu)}| = 1."""
     resonant_sequence(nu, n_min, n_min)  # validates the range start
     if n_max < n_min:
         raise ValueError("empty resonance index range")
     nu = float(nu)
+    n = np.arange(n_min, n_max + 1)
     d_l2, d_r3, deltas = log_resonant_d_range(nu, n_min, n_max)
-    return [
-        ConfluenceRow(n, 1.0 / (nu + 2.0 * n), d_l2_n, d_r3_n, delta, 0.5 * delta,
-                      2.0 * math.pi * delta, math.pi * delta)
-        for n, d_l2_n, d_r3_n, delta in zip(range(n_min, n_max + 1), d_l2, d_r3, deltas)
-    ]
+    return ConfluenceTable(n, 1.0 / (nu + 2.0 * n), d_l2, d_r3, deltas)
 
 
-def fitted_rate(rows, column: str = "stokes_err_R") -> float:
+def fitted_rate(table: ConfluenceTable, column: str = "stokes_err_R") -> float:
     """Least-squares slope of log(err) against log(n) over the last decade
-    of resonance indices present in ``rows``."""
-    ns = np.array([r.n for r in rows], dtype=float)
-    errs = np.array([getattr(r, column) for r in rows], dtype=float)
+    of resonance indices present in ``table``."""
+    ns = table.n.astype(float)
+    errs = getattr(table, column)
     keep = (ns >= ns.max() / 10.0) & (errs > 0.0)
     if int(keep.sum()) < 2:
         raise ValueError("need at least two usable rows in the last decade")

@@ -374,21 +374,21 @@ def log_resonant_d_values(nu, n: int) -> tuple[complex, complex]:
     product, whose distance cancels: 1.1e-6 relative at nu = 1 + 1e-7, n = 5.
     """
     d_l2, d_r3, _ = log_resonant_d_range(nu, n, n)
-    return d_l2[0], d_r3[0]
+    return complex(d_l2[0]), complex(d_r3[0])
 
 
-def log_resonant_d_range(nu, n_min: int, n_max: int) -> tuple[list, list, list]:
-    """Lists of d_L2 = e^{i pi (1-nu)} w_n, d_R3 = -w_n/2 and delta = |w_n - 1/Gamma(nu)|
-    for n_min <= n <= n_max, w_n = z^{1-nu} (nu)^{(n)} / n!.  On the series path
+def log_resonant_d_range(nu, n_min: int, n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Arrays of d_L2 = e^{i pi (1-nu)} w_n, d_R3 = -w_n/2 (complex) and delta = |w_n - 1/Gamma(nu)|
+    (float) for n_min <= n <= n_max, w_n = z^{1-nu} (nu)^{(n)} / n!.  On the series path
     delta is |1/Gamma(nu)| |expm1(log R)|, free of the cancellation in the difference.
     """
     nu = complex(nu)
     if n_min < 0:
         raise ResonanceError("resonance index must be >= 0")
+    count = n_max - n_min + 1
     if _near_integer(nu) and round(nu.real) <= 0:
         if n_min >= 1 - round(nu.real):
-            count = n_max - n_min + 1
-            return [0j] * count, [0j] * count, [0.0] * count
+            return np.zeros(count, dtype=complex), np.zeros(count, dtype=complex), np.zeros(count)
         raise ResonanceError(
             "for integer nu <= 0 the closed forms need nu/2 + 1/(2 sqrt_eps) >= 1"
         )
@@ -396,15 +396,27 @@ def log_resonant_d_range(nu, n_min: int, n_max: int) -> tuple[list, list, list]:
     # real nu takes the series where z >= 8 and z > 2 |nu|, so its terms fall 16-fold
     series_from = max(math.ceil(_SERIES_MIN_Z - nu.real / 2.0), math.floor(2.0 * abs(nu.real) - nu.real / 2.0) + 1)
     split = n_max + 1 if nu.imag else min(max(n_min, series_from), n_max + 1)
+    head = split - n_min
+    phase = cmath.exp(1j * math.pi * (1.0 - nu))
+    d_l2 = np.empty(count, dtype=complex)
+    d_r3 = np.empty(count, dtype=complex)
+    deltas = np.empty(count)
     ws = [(n + nu / 2.0) ** (1.0 - nu) * rising_factorial(nu, n) / math.factorial(n)
           for n in range(n_min, split)]
-    deltas = [abs(w - rg) for w in ws]
+    d_l2[:head] = [phase * w for w in ws]
+    d_r3[:head] = [-0.5 * w for w in ws]
+    deltas[:head] = [abs(w - rg) for w in ws]
     if split <= n_max:
         log_r = _midpoint_log_ratio(nu.real, np.arange(split, n_max + 1, dtype=float))
-        ws += (rg.real * np.exp(log_r)).tolist()
-        deltas += (abs(rg.real) * np.abs(np.expm1(log_r))).tolist()
-    phase = cmath.exp(1j * math.pi * (1.0 - nu))
-    return [phase * w for w in ws], [complex(-0.5 * w) for w in ws], deltas
+        w = rg.real * np.exp(log_r)
+        # phase * w as Python forms complex * float, signed zeros included; d_R3 is
+        # formed from the real w, so its imaginary part is +0 where a product row's is -0
+        d_l2.real[head:] = phase.real * w - phase.imag * 0.0
+        d_l2.imag[head:] = phase.real * 0.0 + phase.imag * w
+        d_r3.real[head:] = -0.5 * w
+        d_r3.imag[head:] = 0.0
+        deltas[head:] = abs(rg.real) * np.abs(np.expm1(log_r))
+    return d_l2, d_r3, deltas
 
 
 def _midpoint_log_ratio(nu: float, n: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import stokes_unfold
-from stokes_unfold.cli import CSV_HEADER, main
+from stokes_unfold.cli import CSV_HEADER, complex_to_json, main
 
 
 def run_cli(capsys, *argv):
@@ -134,6 +134,37 @@ def test_confluence_csv_roundtrip(capsys):
         cells = line.split(",")
         assert float(cells[1]) == row.sqrt_eps  # 17 significant digits round-trip
         assert complex(float(cells[2]), float(cells[3])) == row.d_L2
+
+
+@pytest.mark.parametrize("nu", ["0.5", "2", "-1", "-2.5", "1.0000001"])
+def test_confluence_output_matches_row_formatting(capsys, monkeypatch, nu):
+    # the columnar writers against the rows of the table, across the product/series
+    # split and over CSV blocks of 7 rows, the last one short
+    monkeypatch.setattr("stokes_unfold.cli._CSV_BLOCK_ROWS", 7)
+    table = stokes_unfold.confluence_table(float(nu), 2, 80)
+    fields = ("sqrt_eps", "d_L2", "d_R3", "err_L2", "err_R3", "stokes_err_L", "stokes_err_R")
+    code, out = run_cli(capsys, "confluence", "--nu", nu, "--n-min", "2", "--n-max", "80", "--format", "csv")
+    assert code == 0
+    expected = [CSV_HEADER]
+    for i in range(len(table)):
+        r = table[i]
+        cells = [str(r.n)]
+        for x in (getattr(r, f) for f in fields):
+            cells += [format(x.real, ".17g"), format(x.imag, ".17g")] if isinstance(x, complex) else [format(x, ".17g")]
+        expected.append(",".join(cells))
+    assert out == "\n".join(expected) + "\n"
+    if nu == "-2.5":
+        # d_R3_im is -0 on some product rows (n < 10) and +0 on every series row
+        signs = {True: set(), False: set()}  # keyed by n < 10
+        for line in out.splitlines()[1:]:
+            cells = line.split(",")
+            signs[int(cells[0]) < 10].add(cells[5])
+        assert "-0" in signs[True] and signs[False] == {"0"}
+    code, rec = run_json(capsys, "confluence", "--nu", nu, "--n-min", "2", "--n-max", "80")
+    assert code == 0
+    rows = [{"n": r.n, **{f: complex_to_json(v) if isinstance(v, complex) else v
+                          for f, v in ((f, getattr(r, f)) for f in fields)}} for r in table]
+    assert json.dumps(rec["payload"]["rows"]) == json.dumps(rows)  # keeps the sign of every zero
 
 
 def test_confluence_json_payload(capsys):

@@ -72,6 +72,34 @@ def test_gamma_ratio_probe_matches_mpmath(alpha):
             assert abs(su.gamma_ratio_probe(float(z), alpha) - ref) <= 1e-14 * abs(ref), z
 
 
+def test_table_columns_and_row_view():
+    table = su.confluence_table(0.5, 1, 20)  # exact product for n < 8, midpoint series above
+    count = 20
+    assert isinstance(table, su.ConfluenceTable) and len(table) == count
+    for name, kind in [("n", "i"), ("sqrt_eps", "f"), ("d_L2", "c"), ("d_R3", "c"), ("delta", "f")]:
+        column = getattr(table, name)
+        assert (column.dtype.kind, column.dtype.itemsize, column.shape) == (kind, 16 if kind == "c" else 8, (count,))
+        with pytest.raises(ValueError):
+            column[0] = 0
+    with pytest.raises(AttributeError):
+        table.delta = np.zeros(count)
+    with pytest.raises(ValueError):
+        su.ConfluenceTable(table.n, table.sqrt_eps[:-1], table.d_L2, table.d_R3, table.delta)
+    rows = list(table)
+    assert rows == [table[i] for i in range(count)]
+    assert table[-1] == rows[-1] and table[-1].n == 20 and table[-count].n == 1
+    with pytest.raises(IndexError):
+        table[count]
+    with pytest.raises(IndexError):
+        table[-count - 1]
+    assert [type(v) for v in vars(rows[9]).values()] == [int, float, complex, complex] + [float] * 4
+    (row,) = su.confluence_table(0.5, 9, 9)
+    assert row == rows[8]
+    for name in ("sqrt_eps", "d_L2", "d_R3", "err_L2", "err_R3", "stokes_err_L", "stokes_err_R"):
+        column = getattr(table, name)
+        assert np.array([getattr(r, name) for r in rows], dtype=column.dtype).tobytes() == column.tobytes(), name
+
+
 def test_table_nu2_sits_at_the_limit():
     rows = su.confluence_table(2.0, 1, 5)
     for r in rows:
