@@ -293,13 +293,6 @@ def check_jordan_structure(rng):
     return ok, "rank test against d != 0"
 
 
-def _signed_exponents(nu, signed_sqrt_eps):
-    h = 1.0 / (2.0 * signed_sqrt_eps)
-    rho_r = (h, nu / 2.0 + 2.0 * h, nu / 2.0)
-    rho_l = (-h, nu / 2.0 - 2.0 * h, nu / 2.0)
-    return rho_r, rho_l
-
-
 def check_sign_flip_symmetry(rng):
     """Flipping the sign of sqrt(eps) relabels the two singular points:
     the exponent roles swap and the two residue families mirror each other
@@ -307,10 +300,10 @@ def check_sign_flip_symmetry(rng):
     worst = 0.0
     for _ in range(20):
         p = _random_params(rng)
-        rho_r, rho_l = _signed_exponents(p.nu.real, p.sqrt_eps)
-        rho_r_f, rho_l_f = _signed_exponents(p.nu.real, -p.sqrt_eps)
-        worst = max(worst, max(abs(a - b) for a, b in zip(rho_r_f, rho_l)))
-        worst = max(worst, max(abs(a - b) for a, b in zip(rho_l_f, rho_r)))
+        e = perturbed.characteristic_exponents(p)
+        flipped = perturbed.exponent_data(p.nu, -p.sqrt_eps)
+        worst = max(worst, max(abs(a - b) for a, b in zip(flipped.rho_R, e.rho_L)))
+        worst = max(worst, max(abs(a - b) for a, b in zip(flipped.rho_L, e.rho_R)))
     for nu, n in [(0.5, 2), (2.0, 2), (3.3, 1)]:
         d_l2, d_r3 = perturbed.log_resonant_d_values(nu, n)
         mirror = 2.0 * cmath.exp(-1j * math.pi * nu) * d_r3

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gammas import BERNOULLI_EVEN, reciprocal_gamma
+from .gammas import log_gamma_ratio, reciprocal_gamma
 from .perturbed import PerturbParams, log_resonant_d_range
 
 
@@ -49,56 +49,21 @@ def limit_targets(nu) -> tuple[complex, complex]:
     return -cmath.exp(-1j * math.pi * complex(nu)) * rg, -0.5 * rg
 
 
-def _ratio_series() -> np.ndarray:
-    """Row k-1 holds (-1)^{k+1} (B_{k+1}(a) - B_{k+1}) / (k (k+1)) by powers a^1 .. a^25, k = 1..24:
-    log Gamma(z+a) - log Gamma(z) - a log z ~ sum_k z^{-k} (row k-1 @ a^p) (DLMF 5.11.13)."""
-    bern = [BERNOULLI_EVEN[j // 2] if j % 2 == 0 else (0, 1) for j in range(25)]
-    bern[1] = (-1, 2)
-    rows = np.zeros((24, 25))
-    for k in range(1, 25):
-        for p in range(1, k + 2):
-            num, den = bern[k + 1 - p]
-            rows[k - 1, p - 1] = (-1) ** (k + 1) * math.comb(k + 1, p) * num / (den * k * (k + 1))
-    return rows
-
-
-_RATIO_SERIES = _ratio_series()
-_RATIO_Z_POWERS = np.arange(1, 25)
-_RATIO_A_POWERS = np.arange(1, 26)
-
-
-def _log1p(w: complex) -> complex:
-    """log(1 + w) for |w| < 1, free of the rounding of 1 + w."""
-    u, v = w.real, w.imag
-    return complex(0.5 * math.log1p(u * (2.0 + u) + v * v), math.atan2(v, 1.0 + u))
-
-
 def gamma_ratio_probe(z: float, alpha) -> complex:
     """Gamma(z + alpha) / (Gamma(z) z^alpha), which tends to 1 as z grows.
 
-    Small non-negative integer alpha reduces to the exact finite product
-    prod (1 + k/z).  Other alpha, real or complex, take the generalized-Bernoulli
-    series of log Gamma(z + alpha) - log Gamma(z) - alpha log z (DLMF 5.11.13;
-    Tricomi & Erdelyi 1951) to 1/z^24, summed at z + m >= max(10, 4 |alpha|)
-    after m upward steps of the recurrence, each adding log(1 + alpha/(z + j)).
+    The Gamma-ratio kernel gammas.log_gamma_ratio at nu = alpha + 1, n = z - 1, whose
+    midpoint is zeta = z + (alpha - 1)/2, times (zeta/z)^alpha; real or complex alpha.
 
-    Accuracy, against 40-digit mpmath for z > |alpha| + 1 up to 1e4: within
-    1.1e-15 relative for |alpha| <= 4 and 1e-14 for |alpha| <= 20; beyond, the
-    error grows like |alpha| eps (4.1e-13 at |alpha| = 316).
+    Accuracy, against 40-digit mpmath for z > |alpha| + 1 up to 1e4: within 1e-14
+    relative for |alpha| <= 8 and for the complex alpha in the tests.
     """
     z = float(z)
     alpha = complex(alpha)
     if not z > abs(alpha) + 1.0:
         raise ValueError("probe needs z > |alpha| + 1")
-    if alpha.imag == 0.0 and alpha.real == round(alpha.real) and 0 <= alpha.real <= 8:
-        out = 1.0
-        for k in range(int(alpha.real)):
-            out *= 1.0 + k / z
-        return complex(out)
-    m = max(0, math.ceil(max(10.0, 4.0 * abs(alpha)) - z))
-    shift = alpha * math.log1p(m / z) - sum(_log1p(alpha / (z + j)) for j in range(m))
-    series = (1.0 / (z + m)) ** _RATIO_Z_POWERS @ _RATIO_SERIES @ alpha ** _RATIO_A_POWERS
-    return cmath.exp(complex(series) + shift)
+    (log_r,) = log_gamma_ratio(alpha + 1.0, z - 1.0, 1)
+    return cmath.exp(log_r + alpha * cmath.log((z + (alpha - 1.0) / 2.0) / z))
 
 
 def thread_count() -> int:

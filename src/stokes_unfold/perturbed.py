@@ -26,17 +26,13 @@ from .errors import (
     ResonanceError,
     SingularPointError,
 )
-from .gammas import BERNOULLI_EVEN, reciprocal_gamma, rising_factorial
+from .gammas import log_gamma_ratio, reciprocal_gamma
 from .mat3 import exp_diagonal, exp_first_row_nilpotent, max_abs
 from .quad import integrate_chain, integrate_segment, jacobi_panel
 from .unperturbed import exponent_matrices
 
 INTEGRALITY_TOL = 1e-9
 _SINGULARITY_MARGIN = 1e-12
-_SERIES_MIN_Z = 8.0  # midpoint z = n + nu/2 from which real-nu d-values come from the series
-# B_{2i}(1/2) = (2^{1-2i} - 1) B_{2i}, i = 0..12, each a correctly rounded quotient of
-# integers: the Bernoulli values of the midpoint series
-_BERNOULLI_HALF = tuple((2 - 4 ** i) * num / (4 ** i * den) for i, (num, den) in enumerate(BERNOULLI_EVEN))
 _JACOBI_MAX_EXPONENT = 40.0
 
 
@@ -129,8 +125,13 @@ class ResidueData:
 
 
 def characteristic_exponents(params: PerturbParams) -> ExponentData:
-    nu = params.nu
-    h = 1.0 / (2.0 * params.sqrt_eps)
+    return exponent_data(params.nu, params.sqrt_eps)
+
+
+def exponent_data(nu, sqrt_eps: float) -> ExponentData:
+    """Exponents at x_R = sqrt_eps, x_L = -sqrt_eps and infinity for a signed sqrt_eps;
+    flipping its sign relabels the two singular points."""
+    h = 1.0 / (2.0 * sqrt_eps)
     rho_r = (h, nu / 2.0 + 2.0 * h, nu / 2.0)
     rho_l = (-h, nu / 2.0 - 2.0 * h, nu / 2.0)
     rho_inf = (0j, 1.0 - nu, 2.0 - nu)
@@ -368,10 +369,10 @@ def log_resonant_d_values(nu, n: int) -> tuple[complex, complex]:
     Non-positive integer nu gives exact zeros once n >= 1 - nu; smaller n
     sit outside the derived closed forms and raise.
 
-    Accuracy: real nu with z >= 8 and z > 2 |nu| takes the midpoint series, whose
-    d-values and distance to the limit are within 1e-13 relative of 50-digit values
-    for |nu| <= 8 (1e-12, that of 1/Gamma, for |nu| <= 50).  Other rows take the exact
-    product, whose distance cancels: 1.1e-6 relative at nu = 1 + 1e-7, n = 5.
+    Accuracy, against 50-digit values on every n with nu + 2n > 1: within 1e-13
+    relative for |nu| <= 8 and 1e-12 for |nu| <= 50, except where 1/Gamma(nu) loses
+    next to its zeros (3.4e-13 at nu = -7.0024); within 1.9e-14 for the complex nu
+    of the tests.
     """
     d_l2, d_r3, _ = log_resonant_d_range(nu, n, n)
     return complex(d_l2[0]), complex(d_r3[0])
@@ -379,8 +380,12 @@ def log_resonant_d_values(nu, n: int) -> tuple[complex, complex]:
 
 def log_resonant_d_range(nu, n_min: int, n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Arrays of d_L2 = e^{i pi (1-nu)} w_n, d_R3 = -w_n/2 (complex) and delta = |w_n - 1/Gamma(nu)|
-    (float) for n_min <= n <= n_max, w_n = z^{1-nu} (nu)^{(n)} / n!.  On the series path
-    delta is |1/Gamma(nu)| |expm1(log R)|, free of the cancellation in the difference.
+    (float) for n_min <= n <= n_max, w_n = z^{1-nu} (nu)^{(n)} / n! = R/Gamma(nu) with R from
+    gammas.log_gamma_ratio on every row, and delta = |1/Gamma(nu)| |expm1(log R)|.  Against
+    50-digit values delta is within 1e-13 relative on the series rows (z >= 8, z > 2 |nu|)
+    and 1e-10 on the rows below, for the |nu| <= 8 of the tests (1.0e-11 at nu = 1.99).
+    Next to nu = 0 and 2, where R = 1 on every row, delta shrinks with the distance and
+    loses relative accuracy in proportion (3.8e-5 at nu = 2 - 1e-9, n = 7).
     """
     nu = complex(nu)
     if n_min < 0:
@@ -393,45 +398,18 @@ def log_resonant_d_range(nu, n_min: int, n_max: int) -> tuple[np.ndarray, np.nda
             "for integer nu <= 0 the closed forms need nu/2 + 1/(2 sqrt_eps) >= 1"
         )
     rg = reciprocal_gamma(nu)
-    # real nu takes the series where z >= 8 and z > 2 |nu|, so its terms fall 16-fold
-    series_from = max(math.ceil(_SERIES_MIN_Z - nu.real / 2.0), math.floor(2.0 * abs(nu.real) - nu.real / 2.0) + 1)
-    split = n_max + 1 if nu.imag else min(max(n_min, series_from), n_max + 1)
-    head = split - n_min
+    log_r = log_gamma_ratio(nu, n_min, count)
+    if nu.imag or nu.real + 2.0 * n_min <= 0.0:  # R complex: complex nu, or z <= 0 on a row
+        w = rg * np.exp(log_r)
+        deltas = abs(rg) * np.abs(np.expm1(log_r))
+    else:
+        # R real: Im log R is pi times the number of negative factors n + nu, so
+        # R = cos(Im log R) e^{Re log R} with the cosine exactly +-1
+        sign = np.cos(log_r.imag)
+        w = rg.real * sign * np.exp(log_r.real)
+        deltas = abs(rg.real) * np.abs(sign * np.expm1(log_r.real) + (sign - 1.0))
     phase = cmath.exp(1j * math.pi * (1.0 - nu))
-    d_l2 = np.empty(count, dtype=complex)
-    d_r3 = np.empty(count, dtype=complex)
-    deltas = np.empty(count)
-    ws = [(n + nu / 2.0) ** (1.0 - nu) * rising_factorial(nu, n) / math.factorial(n)
-          for n in range(n_min, split)]
-    d_l2[:head] = [phase * w for w in ws]
-    d_r3[:head] = [-0.5 * w for w in ws]
-    deltas[:head] = [abs(w - rg) for w in ws]
-    if split <= n_max:
-        log_r = _midpoint_log_ratio(nu.real, np.arange(split, n_max + 1, dtype=float))
-        w = rg.real * np.exp(log_r)
-        # phase * w as Python forms complex * float, signed zeros included; d_R3 is
-        # formed from the real w, so its imaginary part is +0 where a product row's is -0
-        d_l2.real[head:] = phase.real * w - phase.imag * 0.0
-        d_l2.imag[head:] = phase.real * 0.0 + phase.imag * w
-        d_r3.real[head:] = -0.5 * w
-        d_r3.imag[head:] = 0.0
-        deltas[head:] = abs(rg.real) * np.abs(np.expm1(log_r))
-    return d_l2, d_r3, deltas
-
-
-def _midpoint_log_ratio(nu: float, n: np.ndarray) -> np.ndarray:
-    """log R, R = z^{1-nu} Gamma(n+nu) / Gamma(n+1) with z = n + nu/2 > 2 |nu|.
-
-    At the midpoint z the odd powers of 1/z drop out of Stirling's series
-    (Tricomi & Erdelyi 1951): log R = -sum_j 2 B_{2j+1}(nu/2) / (2j (2j+1) z^{2j}),
-    summed to j = 12 with B_{2j+1}(1/2 + x) = sum_i C(2j+1, 2i) B_{2i}(1/2) x^{2j+1-2i},
-    which vanishes at x = 0, so R - 1 stays accurate near nu = 1.
-    """
-    x = (nu - 1.0) / 2.0
-    coeffs = [-sum(math.comb(2 * j + 1, 2 * i) * _BERNOULLI_HALF[i] * x ** (2 * (j - i) + 1)
-                   for i in range(j + 1)) / (j * (2 * j + 1))
-              for j in range(1, len(_BERNOULLI_HALF))]
-    return np.polyval(coeffs[::-1] + [0.0], 1.0 / (n + nu / 2.0) ** 2)
+    return phase * w, np.asarray(-0.5 * w, dtype=complex), deltas
 
 
 def residues(params: PerturbParams) -> ResidueData:
@@ -501,11 +479,9 @@ def monodromy_matrices(params: PerturbParams) -> tuple[np.ndarray, np.ndarray]:
     At a logarithmic resonance the two factors commute; the commutator is
     verified to 1e-12 as a guard against misuse.
     """
-    res = residues(params)
     out = []
-    for side, t in (("L", res.T_L), ("R", res.T_R)):
+    for side, u in zip("LR", unfolded_stokes(params)):
         d = monodromy_exponent_factor(params, side)
-        u = exp_first_row_nilpotent(t, 2j * math.pi)
         m = d @ u
         if max_abs(m - u @ d) > 1e-12 * max(1.0, max_abs(m)):
             raise ResonanceError("exponent factor and unipotent factor fail to commute")

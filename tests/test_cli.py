@@ -138,7 +138,7 @@ def test_confluence_csv_roundtrip(capsys):
 
 @pytest.mark.parametrize("nu", ["0.5", "2", "-1", "-2.5", "1.0000001"])
 def test_confluence_output_matches_row_formatting(capsys, monkeypatch, nu):
-    # the columnar writers against the rows of the table, across the product/series
+    # the columnar writers against the rows of the table, across the recurrence/series
     # split and over CSV blocks of 7 rows, the last one short
     monkeypatch.setattr("stokes_unfold.cli._CSV_BLOCK_ROWS", 7)
     table = stokes_unfold.confluence_table(float(nu), 2, 80)
@@ -154,12 +154,8 @@ def test_confluence_output_matches_row_formatting(capsys, monkeypatch, nu):
         expected.append(",".join(cells))
     assert out == "\n".join(expected) + "\n"
     if nu == "-2.5":
-        # d_R3_im is -0 on some product rows (n < 10) and +0 on every series row
-        signs = {True: set(), False: set()}  # keyed by n < 10
-        for line in out.splitlines()[1:]:
-            cells = line.split(",")
-            signs[int(cells[0]) < 10].add(cells[5])
-        assert "-0" in signs[True] and signs[False] == {"0"}
+        # d_R3 = -w/2 with w real, so d_R3_im is +0 on every row, where Gamma(n + nu) < 0 too
+        assert {line.split(",")[5] for line in out.splitlines()[1:]} == {"0"}
     code, rec = run_json(capsys, "confluence", "--nu", nu, "--n-min", "2", "--n-max", "80")
     assert code == 0
     rows = [{"n": r.n, **{f: complex_to_json(v) if isinstance(v, complex) else v

@@ -417,3 +417,16 @@ def test_sign_flip_mirror_identity():
     for nu, n in [(0.5, 2), (2.0, 2), (3.3, 1)]:
         d_l2, d_r3 = su.log_resonant_d_values(nu, n)
         assert d_l2 == pytest.approx(2.0 * cmath.exp(-1j * math.pi * nu) * d_r3, rel=1e-13)
+
+
+def test_complex_d_values_match_mpmath():
+    # complex nu, and real nu = -2.5 where z = n + nu/2 < 0 at n = 0, 1 makes R complex
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        for nu in (0.3 + 0.7j, -1.2 + 0.4j, 0.5 + 5j, -2.5):
+            nu_mp = mp.mpmathify(nu)
+            for n in range(41):
+                w = (n + nu_mp / 2) ** (1 - nu_mp) * mp.rf(nu_mp, n) / mp.factorial(n)
+                d_l2, d_r3 = su.log_resonant_d_values(nu, n)
+                for got, ref in ((d_l2, mp.exp(1j * mp.pi * (1 - nu_mp)) * w), (d_r3, -w / 2)):
+                    assert abs(got - ref) <= 1e-13 * abs(ref), (nu, n)
