@@ -30,7 +30,7 @@ def identity3() -> np.ndarray:
 
 def max_abs(m) -> float:
     """Entrywise max-norm."""
-    return float(np.max(np.abs(np.asarray(m))))
+    return float(np.abs(np.asarray(m)).max())
 
 
 def det3(m) -> complex:

@@ -35,8 +35,11 @@ _EIG_GROUP_TOL = 1e-8
 _MAX_STEPS = 200_000
 
 # Dormand-Prince 5(4) tableau. Row i of _DP_A weights stages 0..i-1 in the argument
-# of stage i; its last row is b5, so the last stage is the derivative at y5.
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+# of stage i; its last row is b5, so the last stage is the derivative at y5.  _DP_C
+# holds the nodes of stages 1..5; stage 6 shares c = 1 with stage 5 and stage 0 is
+# the previous step's last.
+_DP_C = np.array([1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
+_DP_NODE = (None, 0, 1, 2, 3, 4, 4)  # stage i -> its node's index in _DP_C
 _DP_A = np.array([
     [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
     [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0],
@@ -74,10 +77,14 @@ class CompanionSystem:
                    np.array([(0, 1), (nu - 2, 2), (nu - 4, 0)], dtype=complex), 1.0)
 
     def matrix(self, x) -> np.ndarray:
-        a = np.zeros((3, 3), dtype=complex)
-        a.reshape(9)[::4] = self.weights @ (x - self.poles) ** -self.powers
-        a[0, 1] = a[1, 2] = 1.0
-        return a
+        """A(x) at a point, or the (m, 3, 3) stack of A at the m points of a 1-D array."""
+        xs = np.atleast_1d(x)
+        terms = (xs - self.poles[:, None]) ** -self.powers[:, None]  # J x m
+        a = np.zeros((xs.size, 3, 3), dtype=complex)
+        # einsum, not matmul: BLAS rounds a stack of points differently from a single one
+        a.reshape(-1, 9)[:, ::4] = np.einsum("kj,jm->mk", self.weights, terms)
+        a[:, 0, 1] = a[:, 1, 2] = 1.0
+        return a if np.ndim(x) else a[0]
 
     def singularities(self) -> tuple:
         return tuple(complex(p) for p in np.unique(self.poles))
@@ -114,35 +121,38 @@ def integrate_path(system: CompanionSystem, path: ContourPath, y0, tol: float = 
 
 
 def _integrate_segment(system: CompanionSystem, segment, y: np.ndarray, tol: float) -> np.ndarray:
-    def coefficients(s: float) -> tuple:
-        return segment.velocity(s), system.matrix(segment.point(s))
-
-    def rhs(coeff: tuple, m: np.ndarray) -> np.ndarray:
-        velocity, a = coeff
-        return velocity * (a @ m.reshape(3, 3)).reshape(9)
-
+    # dY/ds = v(s) A(x(s)) Y: stage i keeps A(x_i) Y_i in k[i] and the velocity v_i in
+    # v[i], and the tableau rows, scaled by h v, absorb the velocities
     s = 0.0
     h = 0.05
     err_prev = 1.0
-    y = y.reshape(9)
-    k = np.empty((7, 9), dtype=complex)  # the stages, one flattened matrix per row
-    k[0] = rhs(coefficients(0.0), y)
+    k = np.empty((7, 3, 3), dtype=complex)
+    k_rows = k.reshape(7, 9)
+    k_stages = list(k)
+    v = np.empty(7, dtype=complex)
+    v[0] = segment.velocity(0.0)
+    np.matmul(system.matrix(segment.point(0.0)), y, out=k[0])
     for _ in range(_MAX_STEPS):
         if s >= 1.0:
-            return y.reshape(3, 3)
+            return y
         h = min(h, 1.0 - s)
         if h < 1e-12:
             raise StepUnderflowError(f"step size underflow at s = {s:.6f} on {segment}")
+        nodes = s + h * _DP_C
+        a = system.matrix(segment.point(nodes))
+        v[1:6] = segment.velocity(nodes)
+        v[6] = v[5]
+        hv = h * v
+        tableau = _DP_A * hv[:6]
         for i in range(1, 7):
-            y_stage = y + h * (_DP_A[i, :i] @ k[:i])
-            if i < 6:  # stages 5 and 6 share the node c = 1, so the last one reuses A(x)
-                coeff = coefficients(s + _DP_C[i] * h)
-            k[i] = rhs(coeff, y_stage)
-        err = max_abs(h * (_DP_E @ k)) / max(1.0, max_abs(y_stage))
+            y_stage = y + np.dot(tableau[i, :i], k_rows[:i]).reshape(3, 3)
+            np.matmul(a[_DP_NODE[i]], y_stage, out=k_stages[i])
+        err = max_abs(np.dot(_DP_E * hv, k_rows)) / max(1.0, max_abs(y_stage))
         if err <= tol:
             s += h
             y = y_stage
             k[0] = k[6]  # first-same-as-last: y_stage was y5, the last stage's argument
+            v[0] = v[6]
             factor = 0.9 * (tol / max(err, 1e-300)) ** 0.2 * (err_prev / tol) ** 0.04
             err_prev = max(err, 1e-300)
             h *= min(5.0, max(0.2, factor))

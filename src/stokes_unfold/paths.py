@@ -1,10 +1,16 @@
-"""Piecewise contour paths in the complex plane: line segments and arcs."""
+"""Piecewise contour paths in the complex plane: line segments and arcs.
+
+A segment's ``point`` and ``velocity`` take the parameter s in [0, 1] as a float or
+as an array of floats, and return a complex of the same shape.
+"""
 
 from __future__ import annotations
 
 import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import PathError
 
@@ -21,11 +27,11 @@ class Line:
     def length(self) -> float:
         return abs(self.end - self.start)
 
-    def point(self, s: float) -> complex:
+    def point(self, s):
         return self.start + s * (self.end - self.start)
 
-    def velocity(self, s: float) -> complex:
-        return self.end - self.start
+    def velocity(self, s):
+        return (self.end - self.start) * np.ones_like(s)  # constant, shaped like s
 
     def min_distance(self, z: complex) -> float:
         d = self.end - self.start
@@ -49,15 +55,15 @@ class Arc:
     def length(self) -> float:
         return abs(self.angle_end - self.angle_start) * self.radius
 
-    def _angle(self, s: float) -> float:
+    def _angle(self, s):
         return self.angle_start + s * (self.angle_end - self.angle_start)
 
-    def point(self, s: float) -> complex:
-        return self.center + self.radius * cmath.exp(1j * self._angle(s))
+    def point(self, s):
+        return self.center + self.radius * np.exp(1j * self._angle(s))
 
-    def velocity(self, s: float) -> complex:
+    def velocity(self, s):
         span = self.angle_end - self.angle_start
-        return 1j * span * self.radius * cmath.exp(1j * self._angle(s))
+        return 1j * span * self.radius * np.exp(1j * self._angle(s))
 
     def min_distance(self, z: complex) -> float:
         rho = abs(z - self.center)

