@@ -7,7 +7,7 @@ closed form.  The perturbation splits the origin into two Fuchsian points
 at +-sqrt(eps); at the logarithmic resonances the monodromy matrices and
 unfolded Stokes matrices have residue closed forms, and the unfolded Stokes
 matrices converge to the Stokes matrices along the resonant sequence
-1/sqrt(eps) = nu + 2n.  An adaptive ODE-continuation oracle cross-checks
+1/sqrt(eps) = nu + 2n.  A Taylor-series ODE-continuation oracle cross-checks
 everything through conjugacy invariants.
 """
 
@@ -44,7 +44,6 @@ from .errors import (
     SingularDirectionError,
     SingularMatrixError,
     SingularPointError,
-    StepUnderflowError,
     StokesUnfoldError,
     ToleranceError,
 )

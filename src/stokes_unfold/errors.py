@@ -57,6 +57,3 @@ class GuardError(StokesUnfoldError, RuntimeError):
 class ToleranceError(StokesUnfoldError, ArithmeticError):
     """An adaptive scheme could not reach the requested tolerance."""
 
-
-class StepUnderflowError(ToleranceError):
-    """Step size collapsed, typically near a singular point."""

@@ -15,6 +15,7 @@ forms the two Gammas.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import operator
 
@@ -114,6 +115,15 @@ def rising_factorial(nu, n: int) -> complex:
     return acc
 
 
+@functools.lru_cache(maxsize=32)
+def _midpoint_coefficients(nu) -> tuple:
+    """-2 B_{2j+1}(nu/2) / (2j (2j+1)), j = 1..12: the midpoint series of log R in 1/z^2."""
+    x = (nu - 1.0) / 2.0
+    odd_powers = [x ** (2 * m + 1) for m in range(len(_BERNOULLI_HALF))]
+    return tuple(-sum(map(operator.mul, row, odd_powers[j::-1])) / (j * (2 * j + 1))
+                 for j, row in enumerate(_MIDPOINT_ROWS, 1))
+
+
 def log_gamma_ratio(nu, n0: float, count: int) -> np.ndarray:
     """log R at n = n0, n0 + 1, ..., n0 + count - 1, R = z^{1-nu} Gamma(n+nu) / Gamma(n+1)
     with the midpoint z = n + nu/2 and the principal power; R -> 1 as n grows.
@@ -135,10 +145,7 @@ def log_gamma_ratio(nu, n0: float, count: int) -> np.ndarray:
     first = max(0, math.ceil(_SERIES_MIN_Z - nu.real / 2.0 - n0),
                 math.floor(2.0 * abs(nu) - nu.real / 2.0 - n0) + 1)
     z = np.arange(first, max(count, first + 1), dtype=float) + n0 + nu / 2.0
-    x = (nu - 1.0) / 2.0
-    odd_powers = [x ** (2 * m + 1) for m in range(len(_BERNOULLI_HALF))]
-    coeffs = [-sum(map(operator.mul, row, odd_powers[j::-1])) / (j * (2 * j + 1))
-              for j, row in enumerate(_MIDPOINT_ROWS, 1)]
+    coeffs = _midpoint_coefficients(nu)
     t = 1.0 / z**2
     log_r = coeffs[-1]
     for c in coeffs[-2::-1]:

@@ -1,5 +1,5 @@
-"""Independent verification engine: adaptive Runge-Kutta continuation of the
-companion 3x3 system along contour paths, and numerical monodromy compared
+"""Independent verification engine: Taylor-series continuation of the companion
+3x3 system along contour paths, and numerical monodromy compared
 with the closed forms through conjugacy invariants (eigenvalue multisets,
 determinant, Jordan structure) rather than raw matrices, because the
 numerical frame differs from the closed-form solution frame by an unknown
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GuardError, PathError, ResonanceError, StepUnderflowError, ToleranceError
+from .errors import GuardError, PathError, ResonanceError, ToleranceError
 from .mat3 import as_matrix3, identity3, inverse3, max_abs
 from .paths import ContourPath, circle, concat
 from .perturbed import (
@@ -32,25 +32,15 @@ STIFFNESS_LIMIT = 12.0
 CLEARANCE_FACTOR = 1e-3
 JORDAN_RTOL = 1e-4
 _EIG_GROUP_TOL = 1e-8
-_MAX_STEPS = 200_000
-
-# Dormand-Prince 5(4) tableau. Row i of _DP_A weights stages 0..i-1 in the argument
-# of stage i; its last row is b5, so the last stage is the derivative at y5.  _DP_C
-# holds the nodes of stages 1..5; stage 6 shares c = 1 with stage 5 and stage 0 is
-# the previous step's last.
-_DP_C = np.array([1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
-_DP_NODE = (None, 0, 1, 2, 3, 4, 4)  # stage i -> its node's index in _DP_C
-_DP_A = np.array([
-    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0],
-    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-])
-_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
-_DP_E = np.append(_DP_A[6], 0.0) - _DP_B4  # b5 - b4, the weights of the error estimate
+# Taylor steps |t| <= _STEP_RATIO r sample A at _CAUCHY_POINTS points of the circle of
+# radius _SAMPLE_RATIO r about their centre, and the series stops by _CAUCHY_POINTS terms
+_STEP_RATIO = 0.3
+_SAMPLE_RATIO = 0.6
+_CAUCHY_POINTS = 64
+_POWERS = np.arange(_CAUCHY_POINTS)
+_UNIT_ROOTS = np.exp(2j * np.pi * _POWERS / _CAUCHY_POINTS)
+# row l of _DFT maps A at the sample points to its l-th coefficient (Cauchy's formula)
+_DFT = np.conj(_UNIT_ROOTS[np.outer(_POWERS, _POWERS) % _CAUCHY_POINTS]) / _CAUCHY_POINTS
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,60 +95,88 @@ class MonodromyReport:
 
 
 def integrate_path(system: CompanionSystem, path: ContourPath, y0, tol: float = 1e-9) -> np.ndarray:
-    """Transport the fundamental matrix along ``path`` (local error <= tol
-    per step, embedded 5(4) pair with a PI step controller)."""
+    """Transport the fundamental matrix along ``path`` by Taylor-series continuation.
+
+    Steps t_j from centres c_j have |t_j| <= 0.3 r_j, r_j the distance from c_j to the
+    nearest singularity (the segment length when there is none).  One ``system.matrix``
+    call samples A on 64 points of the circle of radius 0.6 r_j about every centre, whose
+    DFT gives A's Taylor coefficients there.  (m+1) Y_{m+1} = sum_l A_l Y_{m-l} then runs
+    for all steps at once until two consecutive terms fall below tol * max(1, |Phi_j|),
+    so ``tol`` bounds each step's truncation.  Raises ToleranceError, naming the segment,
+    when the last two coefficients on a circle exceed tol relative to the largest sample
+    (a singularity inside it) or when a series has not converged by 64 terms.
+    """
     y = as_matrix3(y0).astype(complex)
     inverse3(y)  # rejects non-invertible initial data
+    singular = system.singularities()
     clearance = system.clearance()
-    for sing in system.singularities():
-        if path.min_distance(sing) < clearance:
-            raise PathError(
-                f"path passes within {path.min_distance(sing):.3e} of the singular point {sing}"
-            )
-    for segment in path:
-        y = _integrate_segment(system, segment, y, tol)
+    for sing in singular:
+        if path.min_distance(sing) <= clearance:  # a step needs r > 0
+            raise PathError(f"path passes within {path.min_distance(sing):.3e} of the singular point {sing}")
+    c, t, r, segments = _steps(path, singular)
+    if not segments:  # a path of zero length
+        return y
+    rho = _SAMPLE_RATIO * r
+    n, k = len(c), _CAUCHY_POINTS
+    # d[j, i, l] is row i of t A_l t^l about centre j, and terms[j, k - m] is Y_m t^m, so
+    # that the sum over l of (t A_l t^l)(Y_{m-l} t^{m-l}) is one matmul of contiguous slices
+    d = _taylor_coefficients(system, c, rho, tol, segments)
+    d *= (t[:, None] * (t / rho)[:, None] ** _POWERS)[:, :, None]
+    d = np.ascontiguousarray(d.reshape(n, k, 3, 3).transpose(0, 2, 1, 3))
+    terms = np.empty((n, k + 1, 3, 3), dtype=complex)
+    terms[:, k] = np.eye(3)
+    phi = terms[:, k].copy()
+    small = np.zeros(n, dtype=int)
+    for m in range(k):
+        term = d[:, :, :m + 1].reshape(n, 3, -1) @ terms[:, k - m:].reshape(n, -1, 3) / (m + 1)
+        terms[:, k - m - 1] = term
+        phi += term
+        below = np.abs(term).max(axis=(1, 2)) <= tol * np.maximum(1.0, np.abs(phi).max(axis=(1, 2)))
+        small = np.where(below, small + 1, 0)
+        if small.min() >= 2:
+            break
+    else:
+        j = int(np.argmin(small))
+        raise ToleranceError(f"Taylor series about {c[j]:.6g} has not converged to tol = {tol:g} "
+                             f"in {_CAUCHY_POINTS} terms on {segments[j]}")
+    for step in phi:
+        y = step @ y
     return y
 
 
-def _integrate_segment(system: CompanionSystem, segment, y: np.ndarray, tol: float) -> np.ndarray:
-    # dY/ds = v(s) A(x(s)) Y: stage i keeps A(x_i) Y_i in k[i] and the velocity v_i in
-    # v[i], and the tableau rows, scaled by h v, absorb the velocities
-    s = 0.0
-    h = 0.05
-    err_prev = 1.0
-    k = np.empty((7, 3, 3), dtype=complex)
-    k_rows = k.reshape(7, 9)
-    k_stages = list(k)
-    v = np.empty(7, dtype=complex)
-    v[0] = segment.velocity(0.0)
-    np.matmul(system.matrix(segment.point(0.0)), y, out=k[0])
-    for _ in range(_MAX_STEPS):
-        if s >= 1.0:
-            return y
-        h = min(h, 1.0 - s)
-        if h < 1e-12:
-            raise StepUnderflowError(f"step size underflow at s = {s:.6f} on {segment}")
-        nodes = s + h * _DP_C
-        a = system.matrix(segment.point(nodes))
-        v[1:6] = segment.velocity(nodes)
-        v[6] = v[5]
-        hv = h * v
-        tableau = _DP_A * hv[:6]
-        for i in range(1, 7):
-            y_stage = y + np.dot(tableau[i, :i], k_rows[:i]).reshape(3, 3)
-            np.matmul(a[_DP_NODE[i]], y_stage, out=k_stages[i])
-        err = max_abs(np.dot(_DP_E * hv, k_rows)) / max(1.0, max_abs(y_stage))
-        if err <= tol:
-            s += h
-            y = y_stage
-            k[0] = k[6]  # first-same-as-last: y_stage was y5, the last stage's argument
-            v[0] = v[6]
-            factor = 0.9 * (tol / max(err, 1e-300)) ** 0.2 * (err_prev / tol) ** 0.04
-            err_prev = max(err, 1e-300)
-            h *= min(5.0, max(0.2, factor))
-        else:
-            h *= max(0.1, 0.9 * (tol / err) ** 0.25)
-    raise ToleranceError("step budget exhausted before reaching the end of the segment")
+def _taylor_coefficients(system, c, rho, tol: float, segments) -> np.ndarray:
+    """A_l rho^l, l < 64, about every centre as an (n, 64, 9) array: the DFT of A on the
+    circles.  A pole of order <= 2 inside a circle aliases onto the last two (else ~0.6^62)."""
+    samples = system.matrix((c[:, None] + rho[:, None] * _UNIT_ROOTS).ravel())
+    samples = np.reshape(samples, (len(c), _CAUCHY_POINTS, 9))
+    coeffs = _DFT @ samples
+    tail = np.abs(coeffs[:, -2:]).max(axis=(1, 2))
+    aliased = np.flatnonzero(tail > tol * np.abs(samples).max(axis=(1, 2)))
+    if aliased.size:
+        j = aliased[0]
+        raise ToleranceError(f"Taylor coefficients of A about {c[j]:.6g} have not decayed below "
+                             f"tol = {tol:g} on {segments[j]}: a singularity inside the sampling circle?")
+    return coeffs
+
+
+def _steps(path: ContourPath, singular) -> tuple:
+    """Arrays of the centres c_j, steps t_j and radii r_j, and the segment of each step;
+    each step runs an arc length 0.3 r_j on from its centre."""
+    centres, ends, radii, segments = [], [], [], []
+    for segment in path:
+        length = segment.length
+        s = 0.0
+        x = complex(segment.point(0.0))
+        while length and s < 1.0:
+            r = min((abs(x - p) for p in singular), default=length)
+            s = min(1.0, s + _STEP_RATIO * r / length)
+            centres.append(x)
+            x = complex(segment.point(s))
+            ends.append(x)
+            radii.append(r)
+            segments.append(segment)
+    c = np.array(centres)
+    return c, np.array(ends) - c, np.array(radii), segments
 
 
 def _match_eigenvalues(numeric, closed):

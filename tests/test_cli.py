@@ -214,6 +214,12 @@ def test_oracle_perturbed_run(capsys):
     assert rec["payload"]["max_invariant_error"] <= 1e-6
 
 
+def test_oracle_r_loop_n5_meets_invariant_tolerance(capsys):
+    code, rec = run_json(capsys, "oracle", "--nu", "0.5", "--n", "5", "--which", "R", "--tol", "1e-9")
+    assert code == 0
+    assert rec["payload"]["max_invariant_error"] <= 1e-6
+
+
 def test_check_filter_and_determinism(capsys):
     code, out1 = run_cli(capsys, "check", "--filter", "formal_series", "--seed", "42")
     assert code == 0

@@ -2,14 +2,13 @@
 
 import cmath
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
 
 import stokes_unfold as su
 from stokes_unfold import CompanionSystem, PerturbParams
-from stokes_unfold.errors import GuardError, PathError, SingularMatrixError
+from stokes_unfold.errors import GuardError, PathError, SingularMatrixError, ToleranceError
 from stokes_unfold.oracle import (
     closed_loop_eigenvalues,
     composed_loop_matrix,
@@ -85,34 +84,68 @@ def test_unperturbed_companion_matrix(nu):
     assert system.clearance() == 1e-3
 
 
-def test_transport_evaluates_each_point_once():
-    # one matrix call per step attempt takes its five distinct Dormand-Prince nodes (the
-    # last two stages share c = 1); reusing the last stage as the next step's first
-    # leaves no second evaluation at an accepted endpoint
+class Recording:
+    """A companion system that records the points of every matrix call, and may hide
+    some of its singular points."""
+
+    def __init__(self, system, hidden=()):
+        self.system = system
+        self.hidden = hidden
+        self.calls = []
+
+    def matrix(self, x):
+        self.calls.append(np.ravel(x))
+        return self.system.matrix(x)
+
+    def singularities(self):
+        return tuple(p for p in self.system.singularities() if p not in self.hidden)
+
+    def clearance(self):
+        return self.system.clearance()
+
+
+def test_transport_samples_once_away_from_singularities():
+    # one matrix call per path samples 64 points on a circle about every step centre;
+    # each circle has radius 0.6 r for a centre at distance r from the nearest
+    # singularity, so every sample stays at least 0.4 r away
     params = PerturbParams.from_resonant_index(0.5, 1)
-
-    class Recording:
-        def __init__(self):
-            self.system = CompanionSystem.perturbed(params)
-            self.calls = []
-
-        def matrix(self, x):
-            self.calls.append(np.ravel(x))
-            return self.system.matrix(x)
-
-        def singularities(self):
-            return self.system.singularities()
-
-        def clearance(self):
-            return self.system.clearance()
-
-    recording = Recording()
+    recording = Recording(CompanionSystem.perturbed(params))
     su.integrate_path(recording, loop_around(params, "R"), np.eye(3), tol=1e-9)
-    start, *attempts = recording.calls  # one segment: one call to start it
-    assert len(start) == 1
-    assert all(len(nodes) == 5 for nodes in attempts)
-    assert max(Counter(np.concatenate(recording.calls)).values()) == 1
-    assert abs(len(attempts) - 251) <= 2  # pins the step count of this loop
+    (points,) = recording.calls
+    circles = points.reshape(-1, 64)
+    assert len(circles) == 21  # pins the step count of this loop: 2 pi / 0.3 steps
+    singular = np.array(recording.singularities())
+    for samples in circles:
+        r = np.abs(samples.mean() - singular).min()
+        assert np.abs(samples[:, None] - singular).min() >= 0.4 * r * (1 - 1e-12)
+
+
+def test_refuses_rather_than_returns_a_wrong_matrix():
+    # with x_L missing from singularities() the steps about the L loop are sized by x_R
+    # alone, and x_L falls inside their sampling circles
+    params = PerturbParams.from_resonant_index(0.5, 1)
+    hiding = Recording(CompanionSystem.perturbed(params), hidden=(complex(params.x_L),))
+    with pytest.raises(ToleranceError, match="have not decayed"):
+        su.integrate_path(hiding, loop_around(params, "L"), np.eye(3), tol=1e-9)
+    # far past the stiffness guard the series needs more terms than the cap
+    stiff = PerturbParams.from_resonant_index(0.5, 15)
+    with pytest.raises(ToleranceError, match="has not converged"):
+        su.numerical_monodromy(stiff, "L", tol=1e-9, allow_stiff=True)
+
+
+@pytest.mark.parametrize("nu", [0.37, 1.3, 2.71, 3.6])
+def test_monodromy_sweep_meets_invariants(nu):
+    # every L and R loop inside the stiffness guard and three origin loops, at tol 1e-9
+    for which in ("L", "R"):
+        for n in range(1, 6):
+            params = PerturbParams.from_resonant_index(nu, n)
+            if 1.0 / params.sqrt_eps > 12.0:
+                continue
+            report = su.numerical_monodromy(params, which, tol=1e-9)
+            assert report.max_invariant_error <= 1e-8, (which, n)
+            assert report.log_detected == expected_log_flag(params, which), (which, n)
+    for radius in (0.5, 1.0, 2.0):
+        assert su.unperturbed_monodromy(nu, radius, tol=1e-9).max_invariant_error <= 1e-8, radius
 
 
 def test_contractible_loop_is_identity():
