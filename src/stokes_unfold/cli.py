@@ -14,6 +14,7 @@ parameters, 4 guard refusals, 5 tolerance or property failures.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 
@@ -61,11 +62,14 @@ def matrix_to_json(m) -> list:
 
 
 def parse_nu(text: str) -> complex:
-    """Real or 'a+bi' complex literal."""
+    """Real or 'a+bi' complex literal, finite."""
     try:
-        return complex(text.strip().replace("i", "j"))
+        nu = complex(text.strip().replace("i", "j"))
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse nu from {text!r}")
+    if not cmath.isfinite(nu):
+        raise argparse.ArgumentTypeError(f"nu must be finite, got {text!r}")
+    return nu
 
 
 def _record(command: str, params: dict, payload: dict) -> dict:

@@ -26,7 +26,7 @@ from .perturbed import (
     classify_resonance,
     residues,
 )
-from .unperturbed import monodromy_origin
+from .unperturbed import exponent_diagonals, monodromy_origin
 
 STIFFNESS_LIMIT = 12.0
 CLEARANCE_FACTOR = 1e-3
@@ -56,15 +56,14 @@ class CompanionSystem:
 
     @classmethod
     def perturbed(cls, params: PerturbParams) -> "CompanionSystem":
-        """a_k = w_R/(x - x_R) + w_L/(x - x_L)."""
+        """(x^2 - eps) a = Lambda x + Q as a_k = w_R/(x - x_R) + w_L/(x - x_L)."""
         return cls(np.array([params.x_R, params.x_L], dtype=complex), np.array([1, 1]),
                    np.array(_partial_fraction_weights(params), dtype=complex), params.sqrt_eps)
 
     @classmethod
     def unperturbed(cls, nu) -> "CompanionSystem":
-        """a = (0, nu - 2, nu - 4)/x + (1, 2, 0)/x^2: irregular at the origin."""
-        return cls(np.zeros(2, dtype=complex), np.array([1, 2]),
-                   np.array([(0, 1), (nu - 2, 2), (nu - 4, 0)], dtype=complex), 1.0)
+        """x^2 a = Lambda x + Q as a = Lambda/x + Q/x^2: irregular at the origin."""
+        return cls(np.zeros(2, dtype=complex), np.array([1, 2]), np.transpose(exponent_diagonals(nu)), 1.0)
 
     def matrix(self, x) -> np.ndarray:
         """A(x) at a point, or the (m, 3, 3) stack of A at the m points of a 1-D array."""
@@ -104,8 +103,11 @@ def integrate_path(system: CompanionSystem, path: ContourPath, y0, tol: float = 
     for all steps at once until two consecutive terms fall below tol * max(1, |Phi_j|),
     so ``tol`` bounds each step's truncation.  Raises ToleranceError, naming the segment,
     when the last two coefficients on a circle exceed tol relative to the largest sample
-    (a singularity inside it) or when a series has not converged by 64 terms.
+    (a singularity inside it) or when a series has not converged by 64 terms; ValueError
+    unless tol > 0.
     """
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     y = as_matrix3(y0).astype(complex)
     inverse3(y)  # rejects non-invertible initial data
     singular = system.singularities()

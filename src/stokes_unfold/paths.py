@@ -1,7 +1,7 @@
 """Piecewise contour paths in the complex plane: line segments and arcs.
 
-A segment's ``point`` and ``velocity`` take the parameter s in [0, 1] as a float or
-as an array of floats, and return a complex of the same shape.
+A segment's ``point`` takes the parameter s in [0, 1] as a float or as an array of
+floats, and returns a complex of the same shape.
 """
 
 from __future__ import annotations
@@ -30,9 +30,6 @@ class Line:
     def point(self, s):
         return self.start + s * (self.end - self.start)
 
-    def velocity(self, s):
-        return (self.end - self.start) * np.ones_like(s)  # constant, shaped like s
-
     def min_distance(self, z: complex) -> float:
         d = self.end - self.start
         if d == 0:
@@ -60,10 +57,6 @@ class Arc:
 
     def point(self, s):
         return self.center + self.radius * np.exp(1j * self._angle(s))
-
-    def velocity(self, s):
-        span = self.angle_end - self.angle_start
-        return 1j * span * self.radius * np.exp(1j * self._angle(s))
 
     def min_distance(self, z: complex) -> float:
         rho = abs(z - self.center)

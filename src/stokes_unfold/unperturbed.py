@@ -1,6 +1,7 @@
 """Closed-form analytic invariants of the unperturbed equation at the origin:
 formal data, formal monodromy, singular directions, Stokes matrices and the
-actual monodromy around 0.
+actual monodromy around 0.  The equation is (d/dx - a_1)(d/dx - a_2)(d/dx - a_3) y = 0
+with x^2 a = Lambda x + Q, and ``exponent_diagonals`` is the one statement of (Lambda, Q).
 """
 
 from __future__ import annotations
@@ -22,12 +23,16 @@ class Direction(Enum):
     PI = "pi"
 
 
-def exponent_matrices(nu) -> tuple[np.ndarray, np.ndarray]:
-    """The diagonal pair (Lambda, Q) = (diag(0, nu-2, nu-4), diag(1, 2, 0))."""
+def exponent_diagonals(nu) -> tuple[tuple, tuple]:
+    """The diagonals (Lambda, Q) = ((0, nu-2, nu-4), (1, 2, 0)) of x^2 a = Lambda x + Q."""
     nu = complex(nu)
-    lam = np.diag([0.0 + 0j, nu - 2.0, nu - 4.0])
-    q = np.diag([1.0 + 0j, 2.0 + 0j, 0j])
-    return lam, q
+    return (0j, nu - 2.0, nu - 4.0), (1.0 + 0j, 2.0 + 0j, 0j)
+
+
+def exponent_matrices(nu) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonal pair (Lambda, Q) as 3x3 matrices."""
+    lam, q = exponent_diagonals(nu)
+    return np.diag(lam), np.diag(q)
 
 
 @dataclass(frozen=True)

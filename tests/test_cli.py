@@ -67,6 +67,30 @@ def test_parse_error_exit_code(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv,exit_code", [
+    (("oracle", "--nu", "0.5", "--n", "1", "--which", "R", "--tol", "0"), 3),
+    (("oracle", "--nu", "0.5", "--n", "1", "--which", "R", "--tol", "-1"), 3),
+    (("oracle", "--nu", "0", "--which", "origin", "--tol", "nan"), 3),
+    (("oracle", "--nu", "nan", "--which", "origin"), 2),
+    (("invariants", "--nu", "nan"), 2),
+    (("invariants", "--nu", "1e400"), 2),
+    (("invariants", "--nu", "143"), 3),
+    (("perturbed", "--nu", "143", "--n", "1"), 3),
+    (("confluence", "--nu", "143", "--n-min", "0", "--n-max", "3"), 3),
+])
+def test_bad_input_is_refused(capsys, argv, exit_code):
+    # a non-positive or NaN tol, a non-finite nu and a nu whose Gamma overflows are refused
+    if exit_code == 2:
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "argument --nu: nu must be finite" in capsys.readouterr().err
+        return
+    code, rec = run_json(capsys, *argv)
+    assert code == rec["error"]["exit_code"] == 3
+    assert rec["error"]["type"] == "ValueError"
+
+
 def test_perturbed_type_b(capsys):
     code, rec = run_json(capsys, "perturbed", "--nu", "2", "--n", "2")
     assert code == 0

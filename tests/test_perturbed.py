@@ -161,6 +161,21 @@ def test_indicial_roots_match_closed_exponents():
             assert max(abs(r - t) for r, t in zip(roots, target)) <= 1e-8
 
 
+def test_indicial_roots_exact_sweep():
+    # exact Laurent coefficients: roundoff accuracy, where limits by extrapolation missed by 1e-10
+    rng = np.random.default_rng(33)
+    worst = 0.0
+    for j in range(200):
+        nu = rng.uniform(-3, 3) + (1j * rng.uniform(-2, 2) if j % 3 == 0 else 0.0)
+        p = PerturbParams(nu, 1.0 / rng.uniform(1.5, 8.0))
+        e = su.characteristic_exponents(p)
+        for point, target in ((SingularPoint.XL, e.rho_L), (SingularPoint.XR, e.rho_R),
+                              (SingularPoint.INFINITY, e.rho_inf)):
+            roots = su.indicial_roots(p, point)
+            worst = max(worst, max(abs(r - t) for r, t in zip(roots, target)))
+    assert worst <= 1e-12
+
+
 def test_indicial_ordinary_point_error():
     with pytest.raises(OrdinaryPointError):
         su.indicial_roots(PerturbParams(0.0, 0.2), SingularPoint.INFINITY)
