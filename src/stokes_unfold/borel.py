@@ -94,11 +94,11 @@ def laplace_sum(query: LaplaceQuery) -> complex:
     c = query.decay_rate()
     growth = max(0.0, -nu.real)
     t_max = _truncation(c, growth, query.tol * abs(x) / 10.0)
-    sign = -1.0 if query.kind is SeriesKind.PSI else 1.0
+    c1 = (-1.0 if query.kind is SeriesKind.PSI else 1.0) * direction
+    c2 = -direction / x
 
-    def integrand(s):
-        zeta = s * direction
-        return np.exp(-nu * np.log(1.0 + sign * zeta) - zeta / x)
+    def integrand(s):  # (1 -+ zeta)^(-nu) e^(-zeta/x) at zeta = s e^(i theta)
+        return np.exp(-nu * np.log1p(c1 * s) + c2 * s)
 
     # pre-split around the region nearest the unit singular point
     breaks = [0.0] + [b for b in (0.5, 1.6, 4.0) if b < t_max] + [t_max]
@@ -129,6 +129,10 @@ def stokes_jump_quadrature(nu, kind: SeriesKind, x, tol: float = TOL_DEFAULT,
     c = -2 pi i e^{-i pi nu} / Gamma(nu) for PHI.  For the pi direction the
     x^nu normalisation takes arg x on the lower edge (arg x in [-pi, 0)),
     the branch on which the PHI closed form holds.
+
+    Each lateral sum is within tol absolute, so c carries up to
+    2 tol |x^nu e^{+-1/x}| absolute error: at small nu it meets 1e-6
+    relative only for |x| >~ 0.065, and nothing is raised below that.
     """
     x = complex(x)
     nu = complex(nu)

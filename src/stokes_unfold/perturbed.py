@@ -28,9 +28,9 @@ from .errors import (
     SingularPointError,
 )
 from .gammas import log_gamma_ratio, reciprocal_gamma
-from .mat3 import exp_diagonal, exp_first_row_nilpotent, max_abs
+from .mat3 import exp_first_row_nilpotent, max_abs
 from .quad import integrate_chain, jacobi_panel
-from .unperturbed import exponent_diagonals, exponent_matrices
+from .unperturbed import exponent_diagonals
 
 INTEGRALITY_TOL = 1e-9
 _SINGULARITY_MARGIN = 1e-12
@@ -448,9 +448,9 @@ def residue_numeric_oracle(params: PerturbParams, which: ResidueKind, nodes: int
 
 def monodromy_exponent_factor(params: PerturbParams, side: str) -> np.ndarray:
     """Diagonal factor exp(pi i (Lambda + Q / x_j)) for side "L" or "R"."""
-    lam, q = exponent_matrices(params.nu)
+    lam, q = exponent_diagonals(params.nu)
     x_j = params.x_L if side == "L" else params.x_R
-    return exp_diagonal(lam + q / x_j, 1j * math.pi)
+    return np.diag(np.exp(1j * math.pi * (np.array(lam) + np.array(q) / x_j)))
 
 
 def monodromy_matrices(params: PerturbParams) -> tuple[np.ndarray, np.ndarray]:

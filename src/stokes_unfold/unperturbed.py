@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 
 from .gammas import reciprocal_gamma
-from .mat3 import exp_diagonal, identity3
+from .mat3 import identity3
 from .series import DEFAULT_DEGREE, SeriesKind, build_series
 
 
@@ -27,12 +27,6 @@ def exponent_diagonals(nu) -> tuple[tuple, tuple]:
     """The diagonals (Lambda, Q) = ((0, nu-2, nu-4), (1, 2, 0)) of x^2 a = Lambda x + Q."""
     nu = complex(nu)
     return (0j, nu - 2.0, nu - 4.0), (1.0 + 0j, 2.0 + 0j, 0j)
-
-
-def exponent_matrices(nu) -> tuple[np.ndarray, np.ndarray]:
-    """The diagonal pair (Lambda, Q) as 3x3 matrices."""
-    lam, q = exponent_diagonals(nu)
-    return np.diag(lam), np.diag(q)
 
 
 @dataclass(frozen=True)
@@ -57,14 +51,14 @@ class FormalData:
 
 
 def formal_data(nu) -> FormalData:
-    lam, q = exponent_matrices(nu)
-    return FormalData(complex(nu), lam, q)
+    lam, q = exponent_diagonals(nu)
+    return FormalData(complex(nu), np.diag(lam), np.diag(q))
 
 
 def formal_monodromy(nu) -> np.ndarray:
     """diag(1, e^{2 pi i nu}, e^{2 pi i nu})."""
-    lam, _ = exponent_matrices(nu)
-    return exp_diagonal(lam, 2j * math.pi)
+    lam, _ = exponent_diagonals(nu)
+    return np.diag(np.exp(2j * math.pi * np.array(lam)))
 
 
 def _is_nonpositive_integer(nu) -> bool:

@@ -376,6 +376,19 @@ def test_monodromy_factor_commutation():
             assert su.max_abs(d @ u - u @ d) <= 1e-12
 
 
+def test_diagonal_exponentials_match_exp_diagonal_bytewise():
+    # the diagonal factors exponentiate the (Lambda, Q) diagonals directly, with the
+    # same floating-point operations as mat3.exp_diagonal on the 3x3 matrices
+    for nu in (0.5, 2.0, 3.3, -1.25, 0.3 + 0.7j):
+        lam, q = su.formal_data(nu).Lambda, su.formal_data(nu).Q
+        assert su.formal_monodromy(nu).tobytes() == su.exp_diagonal(lam, 2j * math.pi).tobytes()
+        for sqrt_eps in (0.05, 1 / 3, 0.9):
+            p = PerturbParams(nu, sqrt_eps)
+            for side, x_j in (("L", p.x_L), ("R", p.x_R)):
+                expected = su.exp_diagonal(lam + q / x_j, 1j * math.pi)
+                assert monodromy_exponent_factor(p, side).tobytes() == expected.tobytes()
+
+
 def test_unfolded_stokes_values_and_infinity_relation():
     p = PerturbParams.from_resonant_index(2.0, 3)
     st_l, st_r = su.unfolded_stokes(p)
