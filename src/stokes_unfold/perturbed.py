@@ -29,12 +29,11 @@ from .errors import (
 )
 from .gammas import log_gamma_ratio, reciprocal_gamma
 from .mat3 import exp_first_row_nilpotent, max_abs
-from .quad import integrate_chain, jacobi_panel
+from .quad import integrate_chain
 from .unperturbed import exponent_diagonals
 
 INTEGRALITY_TOL = 1e-9
 _SINGULARITY_MARGIN = 1e-12
-_JACOBI_MAX_EXPONENT = 40.0
 
 
 class ResonanceClass(Enum):
@@ -330,14 +329,18 @@ def ratio_integral_check(a: float, b: float, x: float, tol: float = 1e-10) -> tu
 
     Closed form: -(1/(2ab)) ((x+a)/(x-a))^b.  Substituting tau = -(s+a)
     makes the integrand tau^{b-1} (2a+tau)^{-(b+1)}, real and positive, so
-    ``_two_pole_integral`` settles it without branch bookkeeping.
+    ``_two_pole_integral`` settles it without branch bookkeeping; ``tol`` is
+    relative to span max h, span = |x + a|.  At tol 1e-10 and 1e-12 the quadrature
+    is within 1e-13 relative of 40-digit values for a in [1e-3, 1.2], b in
+    [1.01, 500] and span up to 100 a, wherever the closed form is a normal double.
     """
     a = float(a)
     b = float(b)
     x = float(x)
     if not (a > 0 and b > 1 and x < -a):
         raise ValueError("need a > 0, b > 1 and x < -a")
-    quadrature = -_two_pole_integral(a, b - 1.0, b + 1.0, -(x + a), tol)
+    scaled, log_scale = _two_pole_integral(a, b - 1.0, b + 1.0, -(x + a), tol)
+    quadrature = -scaled * math.exp(log_scale)
     closed = -1.0 / (2.0 * a * b) * ((x + a) / (x - a)) ** b
     return complex(quadrature), complex(closed)
 
@@ -485,7 +488,11 @@ def offdiag_solution_quadrature(params: PerturbParams, x, which: OffDiagonal,
 
     PHI12 integrates from x_R to real x > x_R; PHI13 from x_L to real
     x < x_L.  Values use the real-trajectory determination (positive real
-    powers along the path); the integral is ``_two_pole_integral``.
+    powers along the path); the integral is ``_two_pole_integral``, and ``tol``
+    is relative to span max h, span = |x| - sqrt_eps.  At tol 1e-10 and 1e-12 the
+    entries are within 3e-13 relative of 40-digit 2F1 values for nu in
+    [-3.3, 7.25], 1/sqrt_eps in [1.5, 1001] and span up to 30 sqrt_eps, wherever
+    the entry is a normal double.
     """
     if params.nu.imag != 0.0:
         raise ValueError("offdiagonal quadrature is implemented for real nu")
@@ -511,52 +518,45 @@ def offdiag_solution_quadrature(params: PerturbParams, x, which: OffDiagonal,
     else:
         raise ValueError(f"unknown entry {which!r}")
 
-    integral = _two_pole_integral(s, p, q, span, tol)
-    phi1 = _real_axis_diag(params, xr)[0]
+    # Phi1 = (span / (2 sqrt_eps + span))^(+-z) and the integral can each overflow while
+    # their product is moderate, so their logarithms are added before exponentiating
+    scaled, log_scale = _two_pole_integral(s, p, q, span, tol)
+    log_phi1 = z * math.log(span / (2.0 * s + span))
     if which is OffDiagonal.PHI12:
-        return complex(phi1 * integral)
+        return complex(scaled * math.exp(log_scale + log_phi1))
     # substituting tau = -(t + sqrt_eps) flips the orientation, so the
     # -(1/2) prefactor of the entry becomes +1/2 against this integral
-    return complex(0.5 * phi1 * integral)
+    return complex(0.5 * scaled * math.exp(log_scale - log_phi1))
 
 
-def _two_pole_integral(s: float, p: float, q: float, span: float, tol: float) -> complex:
-    """int_0^span tau^p (2s + tau)^(-q) dtau for p > -1: a Gauss-Jacobi endpoint panel on
-    [0, min(span, s)] when p is moderate; for large p the integrand is negligible at the
-    endpoint and plain adaptive panels, geometrically refined toward it, take over."""
-    if p <= _JACOBI_MAX_EXPONENT:
-        split = min(span, s)
-        g = lambda tau: np.exp(-q * np.log(2.0 * s + tau))
-        integral = jacobi_panel(g, 0.0, split, p)
-    else:
-        # the integrand exp(p log tau - q log(2s+tau)) increases toward the
-        # endpoint; cut where it is 1e-22 of its endpoint value (geometric
-        # bisection on the monotone log-integrand), the rest is negligible
-        log_h = lambda tau: p * math.log(tau) - q * math.log(2.0 * s + tau)
-        target = log_h(span) + math.log(1e-22)
-        lo, hi = span * 1e-290, span
-        for _ in range(200):
-            mid = math.sqrt(lo * hi)
-            if log_h(mid) > target:
-                hi = mid
-            else:
-                lo = mid
-        split = lo
-        integral = 0j
-    if span > split:
-        # single fused exponential: p and q are large with opposite effect,
-        # so the two factors would overflow separately
-        f = lambda tau: np.exp(p * np.log(tau) - q * np.log(2.0 * s + tau))
-        integral += integrate_chain(f, _geometric_breaks(split, span), tol_abs=tol)
-    return integral
+def _two_pole_integral(s: float, p: float, q: float, span: float, tol: float) -> tuple:
+    """(I / H, log H) for I = int_0^span tau^p (2s + tau)^(-q) dtau, p > -1 and p + q > 0.
+
+    The integrand h rises up to its crest c = 2 s p / (q - p) and falls after it (c is
+    taken as span when q <= p).  H = t^p (2s + u)^(-q), with c clipped to
+    [min(span, s), span] as t and to [0, span] as u, bounds h on [min(span, s), span],
+    and on all of (0, span] when p > 0; it is h's maximum when c lies in the first
+    interval.  One adaptive Gauss-Legendre chain on breaks graded geometrically toward
+    0 integrates h / H to tol * span absolute down to lo = 1e-18 min(span, s), and the
+    leading term lo h(lo) / (p+1) covers [0, lo] (relative error q lo / 2s).  Working
+    in units of H keeps p and q of several hundred clear of overflow and underflow.
+    """
+    crest = 2.0 * s * p / (q - p) if q > p else span
+    t, u = min(span, max(min(span, s), crest)), min(span, max(0.0, crest))
+    f = lambda tau: np.exp(p * np.log(tau / t) - q * np.log((2.0 * s + tau) / (2.0 * s + u)))
+    lo = min(span, s) * 1e-18
+    head = lo * f(lo) / (p + 1.0)
+    log_scale = p * math.log(t / (2.0 * s + u)) + (p - q) * math.log(2.0 * s + u)
+    chain = integrate_chain(f, _geometric_breaks(lo, span), tol_abs=tol * span)
+    return head + chain.real, log_scale
 
 
-def _geometric_breaks(lo: float, hi: float, factor: float = 4.0):
-    """Panel breakpoints accumulating geometrically toward ``lo``."""
+def _geometric_breaks(lo: float, hi: float):
+    """Panel breakpoints accumulating geometrically (factor 4) toward ``lo``."""
     pts = [hi]
     v = hi
-    while v / factor > lo:
-        v /= factor
+    while v / 4.0 > lo:
+        v /= 4.0
         pts.append(v)
     pts.append(lo)
     return list(reversed(pts))

@@ -1,5 +1,5 @@
-"""Accuracy contracts against 30-digit mpmath: each public numeric function is held
-to the bound its docstring states, on seeded samples of its domain."""
+"""Accuracy contracts against 30- and 40-digit mpmath: each public numeric function is
+held to the bound its docstring states, on seeded samples of its domain."""
 
 import cmath
 import math
@@ -10,6 +10,7 @@ import pytest
 import stokes_unfold as su
 from stokes_unfold.borel import LaplaceQuery, laplace_sum
 from stokes_unfold.errors import SingularDirectionError
+from stokes_unfold.perturbed import OffDiagonal, PerturbParams
 
 mp = pytest.importorskip("mpmath")
 
@@ -50,3 +51,87 @@ def _laplace_queries(seed, count):
 def test_laplace_sum_within_tol(query):
     reference = _ray_integral(query.nu, query.kind, query.x, query.theta)
     assert abs(laplace_sum(query) - reference) <= query.tol
+
+
+def _two_pole(s, p, q, span):
+    """int_0^span tau^p (2s + tau)^(-q) dtau at 40 digits, from its 2F1 closed form."""
+    with mp.workdps(40):
+        s, p, q, span = (mp.mpf(v) for v in (s, p, q, span))
+        return span ** (p + 1) * (2 * s) ** (-q) / (p + 1) * mp.hyp2f1(q, p + 1, p + 2, -span / (2 * s))
+
+
+def _ratio_cases(seed, count):
+    """(a, b, x, tol): a in [1e-3, 1.2] and b - 1 in [0.01, 500] log-uniform (p = b - 1
+    beyond 40 in about a third), |x + a| / a in [0.01, 100] log-uniform, where the
+    closed form stays a normal double."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        a, b = 10.0 ** rng.uniform(-3.0, math.log10(1.2)), 1.0 + 10.0 ** rng.uniform(-2.0, math.log10(499.0))
+        k = 10.0 ** rng.uniform(-2.0, 2.0)
+        if b * math.log((2.0 + k) / k) < 600.0:
+            out.append((a, b, -a - k * a, (1e-10, 1e-12)[rng.integers(2)]))
+    return out
+
+
+@pytest.mark.parametrize("a, b, x, tol", _ratio_cases(13, 24))
+def test_ratio_integral_check_within_1e12(a, b, x, tol):
+    with mp.workdps(40):
+        exact = -1 / (2 * mp.mpf(a) * b) * ((mp.mpf(x) + a) / (mp.mpf(x) - a)) ** b
+    quadrature, closed = su.ratio_integral_check(a, b, x, tol)
+    assert abs(quadrature - exact) <= 1e-12 * abs(exact)
+    assert abs(closed - exact) <= 1e-12 * abs(exact)
+
+
+def _offdiag_reference(nu, sqrt_eps, x):
+    """Phi12 / Phi13 at real x: ((x - s)/(x + s))^z times the two-pole integral, and
+    half of it on the x_L side."""
+    z = 1.0 / (2.0 * sqrt_eps)
+    span = abs(x) - sqrt_eps
+    with mp.workdps(40):
+        s, xm = mp.mpf(sqrt_eps), mp.mpf(x)
+        ratio = (xm - s) / (xm + s)
+        value = ratio ** (1 / (2 * s)) * _two_pole(sqrt_eps, z + nu / 2 - 1, z - nu / 2 + 1, span)
+        return complex(value if x > 0 else value / 2)
+
+
+def _offdiag_cases(seed, count):
+    """(nu, 1/sqrt_eps, span/sqrt_eps, entry, tol): nu in [-3.3, 7.25], 1/sqrt_eps in
+    [1.5, 1001] and span in [0.1, 30] sqrt_eps log-uniform, where the defining integral
+    converges (p > -1) and the entry is a normal double."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        nu, inv = rng.uniform(-3.3, 7.25), 10.0 ** rng.uniform(math.log10(1.5), math.log10(1001.0))
+        k, entry = 10.0 ** rng.uniform(-1.0, math.log10(30.0)), (OffDiagonal.PHI12, OffDiagonal.PHI13)[rng.integers(2)]
+        x = (1.0 + k) / inv * (1 if entry is OffDiagonal.PHI12 else -1)
+        if inv / 2.0 + nu / 2.0 - 1.0 > -1.0 and 1e-300 < abs(_offdiag_reference(nu, 1.0 / inv, x)) < 1e300:
+            out.append((nu, inv, k, entry, (1e-10, 1e-12)[rng.integers(2)]))
+    return out
+
+
+_OFFDIAG_EDGES = (
+    # p = z + nu/2 - 1 in (-1, 0]: the endpoint singularity
+    [(nu, 1.5, k, e, 1e-12) for nu in (-1.4, -0.9, 0.5) for k in (0.1, 5.0) for e in OffDiagonal]
+    # p near 50 and 500, the old Gauss-Jacobi cut-over at p = 40 and beyond
+    + [(0.5, inv, k, e, 1e-12) for inv in (101.0, 1001.0) for k in (0.5, 30.0) for e in OffDiagonal]
+    # refused by the p <= 40 chain on [sqrt_eps, span] with an absolute tolerance
+    + [(7.25, inv, 30.0, e, tol) for inv in (1.5, 2.5) for e in OffDiagonal for tol in (1e-10, 1e-12)]
+)
+
+
+@pytest.mark.parametrize("nu, inv, k, entry, tol", _offdiag_cases(7, 24) + _OFFDIAG_EDGES)
+def test_offdiag_solution_quadrature_within_1e12(nu, inv, k, entry, tol):
+    s = 1.0 / inv
+    x = (1.0 + k) * s * (1 if entry is OffDiagonal.PHI12 else -1)
+    exact = _offdiag_reference(nu, s, x)
+    value = su.offdiag_solution_quadrature(PerturbParams(nu, s), x, entry, tol)
+    assert abs(value - exact) <= 1e-12 * abs(exact)
+
+
+def test_offdiag_phi13_past_the_overflow_of_phi1():
+    # Phi1 = 21^500 overflows on its own at the first point; 40-digit values at 1/sqrt_eps = 1001, nu = 1/2, x = x_L - 0.1 sqrt_eps and x_L - sqrt_eps
+    s = 1.0 / 1001.0
+    for k, exact in ((0.1, 0.0106922542396534), (1.0, 0.0207778344425008)):
+        value = su.offdiag_solution_quadrature(PerturbParams(0.5, s), -s - k * s, OffDiagonal.PHI13)
+        assert value == pytest.approx(exact, rel=1e-12)
