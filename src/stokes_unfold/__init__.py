@@ -35,6 +35,7 @@ from .errors import (
     BranchCutError,
     DecayConditionError,
     DivergentIntegralError,
+    DoubleRangeError,
     GammaPoleError,
     GuardError,
     MatrixShapeError,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import sys
 
@@ -50,6 +51,26 @@ CSV_HEADER = "n,sqrt_eps,d_L2_re,d_L2_im,d_R3_re,d_R3_im,err_L2,err_R3,stokes_er
 # size bounds the memory the text output adds to the table's columns
 _CSV_ROW = "%d" + ",%.17g" * 9 + "\n"
 _CSV_BLOCK_ROWS = 4096
+# one row of payload["rows"] at its depth in the indent-2 record; %r prints a float as
+# json does, except nan and +-inf, which json spells NaN and +-Infinity, so a block's text
+# goes through str.replace, which returns it as it is when it holds neither
+_JSON_ROW = """
+      {
+        "n": %d,
+        "sqrt_eps": %r,
+        "d_L2": {
+          "re": %r,
+          "im": %r
+        },
+        "d_R3": {
+          "re": %r,
+          "im": %r
+        },
+        "err_L2": %r,
+        "err_R3": %r,
+        "stokes_err_L": %r,
+        "stokes_err_R": %r
+      }"""
 
 
 def complex_to_json(z) -> dict:
@@ -82,8 +103,7 @@ def _record(command: str, params: dict, payload: dict) -> dict:
 
 
 def _emit(obj) -> None:
-    json.dump(obj, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
 
 
 def cmd_invariants(args) -> int:
@@ -154,12 +174,27 @@ def _columns(table):
             table.err_L2, table.err_R3, table.stokes_err_L, table.stokes_err_R)
 
 
-def _csv_blocks(table):
-    """The CSV text: the header, then blocks of at most _CSV_BLOCK_ROWS rows."""
-    yield CSV_HEADER + "\n"
+def _row_blocks(table):
+    """The table's rows as tuples of Python numbers, in blocks of at most _CSV_BLOCK_ROWS."""
     columns = _columns(table)
     for lo in range(0, len(table), _CSV_BLOCK_ROWS):
-        yield "".join([_CSV_ROW % row for row in zip(*(c[lo:lo + _CSV_BLOCK_ROWS].tolist() for c in columns))])
+        yield zip(*(c[lo:lo + _CSV_BLOCK_ROWS].tolist() for c in columns))
+
+
+def _csv_blocks(table):
+    """The CSV text: the header, then one text per row block."""
+    yield CSV_HEADER + "\n"
+    for rows in _row_blocks(table):
+        yield "".join([_CSV_ROW % row for row in rows])
+
+
+def _json_rows(table):
+    """The text of payload["rows"] for a non-empty table, one text per row block."""
+    lead = "["
+    for rows in _row_blocks(table):
+        yield lead + ",".join([_JSON_ROW % row for row in rows]).replace("nan", "NaN").replace("inf", "Infinity")
+        lead = ","
+    yield "\n    ]"
 
 
 def _write_gnuplot(prefix: str, table) -> None:
@@ -190,35 +225,19 @@ def cmd_confluence(args) -> int:
         sys.stdout.writelines(_csv_blocks(table))
         return EXIT_OK
     lim_l2, lim_r3 = limit_targets(args.nu.real)
-    payload = {
-        "limit_d_L2": complex_to_json(lim_l2),
-        "limit_d_R3": complex_to_json(lim_r3),
-        "rows": [
-            {
-                "n": n,
-                "sqrt_eps": sqrt_eps,
-                "d_L2": {"re": l2_re, "im": l2_im},
-                "d_R3": {"re": r3_re, "im": r3_im},
-                "err_L2": err_l2,
-                "err_R3": err_r3,
-                "stokes_err_L": st_err_l,
-                "stokes_err_R": st_err_r,
-            }
-            for n, sqrt_eps, l2_re, l2_im, r3_re, r3_im, err_l2, err_r3, st_err_l, st_err_r
-            in zip(*(c.tolist() for c in _columns(table)))
-        ],
-    }
+    payload = {"limit_d_L2": complex_to_json(lim_l2), "limit_d_R3": complex_to_json(lim_r3), "rows": []}
     if len(table) >= 4:
         try:
             payload["fitted_rate_L"] = fitted_rate(table, "stokes_err_L")
             payload["fitted_rate_R"] = fitted_rate(table, "stokes_err_R")
         except ValueError:
             pass
-    _emit(_record(
-        "confluence",
-        {"nu": complex_to_json(args.nu), "n_min": args.n_min, "n_max": args.n_max},
-        payload,
-    ))
+    params = {"nu": complex_to_json(args.nu), "n_min": args.n_min, "n_max": args.n_max}
+    # the rows stream between the halves of the record printed with an empty list
+    head, _, tail = json.dumps(_record("confluence", params, payload), indent=2).partition('"rows": []')
+    sys.stdout.write(head + '"rows": ')
+    sys.stdout.writelines(_json_rows(table))
+    sys.stdout.write(tail + "\n")
     return EXIT_OK
 
 
@@ -268,6 +287,7 @@ def cmd_check(args) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_TOLERANCE
 
 
+@functools.cache  # built by the first main call; parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stokes-unfold",

@@ -46,6 +46,10 @@ class DivergentIntegralError(StokesUnfoldError, ValueError):
     """Endpoint exponent makes the iterated integral diverge."""
 
 
+class DoubleRangeError(StokesUnfoldError, ValueError):
+    """Result whose magnitude lies outside the range of normal doubles."""
+
+
 class PathError(StokesUnfoldError, ValueError):
     """Malformed contour path, or a path through a singular point."""
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -22,6 +23,7 @@ import numpy as np
 from .errors import (
     BranchCutError,
     DivergentIntegralError,
+    DoubleRangeError,
     OrdinaryPointError,
     PathError,
     ResonanceError,
@@ -34,6 +36,7 @@ from .unperturbed import exponent_diagonals
 
 INTEGRALITY_TOL = 1e-9
 _SINGULARITY_MARGIN = 1e-12
+_LOG_DBL_MIN, _LOG_DBL_MAX = math.log(sys.float_info.min), math.log(sys.float_info.max)
 
 
 class ResonanceClass(Enum):
@@ -492,7 +495,8 @@ def offdiag_solution_quadrature(params: PerturbParams, x, which: OffDiagonal,
     is relative to span max h, span = |x| - sqrt_eps.  At tol 1e-10 and 1e-12 the
     entries are within 3e-13 relative of 40-digit 2F1 values for nu in
     [-3.3, 7.25], 1/sqrt_eps in [1.5, 1001] and span up to 30 sqrt_eps, wherever
-    the entry is a normal double.
+    the entry is a normal double.  Where the entry's scale H Phi1^(+-1) leaves the
+    range of normal doubles, DoubleRangeError states its log-magnitude.
     """
     if params.nu.imag != 0.0:
         raise ValueError("offdiagonal quadrature is implemented for real nu")
@@ -519,14 +523,19 @@ def offdiag_solution_quadrature(params: PerturbParams, x, which: OffDiagonal,
         raise ValueError(f"unknown entry {which!r}")
 
     # Phi1 = (span / (2 sqrt_eps + span))^(+-z) and the integral can each overflow while
-    # their product is moderate, so their logarithms are added before exponentiating
+    # their product is moderate, so their logarithms are added before exponentiating;
+    # substituting tau = -(t + sqrt_eps) flips the orientation of PHI13, so the
+    # -(1/2) prefactor of the entry becomes +1/2 against this integral
     scaled, log_scale = _two_pole_integral(s, p, q, span, tol)
     log_phi1 = z * math.log(span / (2.0 * s + span))
     if which is OffDiagonal.PHI12:
-        return complex(scaled * math.exp(log_scale + log_phi1))
-    # substituting tau = -(t + sqrt_eps) flips the orientation, so the
-    # -(1/2) prefactor of the entry becomes +1/2 against this integral
-    return complex(0.5 * scaled * math.exp(log_scale - log_phi1))
+        log_mag, factor = log_scale + log_phi1, 1.0
+    else:
+        log_mag, factor = log_scale - log_phi1, 0.5
+    if not _LOG_DBL_MIN <= log_mag <= _LOG_DBL_MAX:
+        raise DoubleRangeError(f"{which.name} scale is 10^{log_mag / math.log(10.0):.1f}, "
+                               "outside the range of normal doubles")
+    return complex(factor * scaled * math.exp(log_mag))
 
 
 def _two_pole_integral(s: float, p: float, q: float, span: float, tol: float) -> tuple:

@@ -1,11 +1,14 @@
 """Command-line interface: payload contents, formats, exit codes."""
 
+import dataclasses
 import json
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 import pytest
 
@@ -187,6 +190,77 @@ def test_confluence_output_matches_row_formatting(capsys, monkeypatch, nu):
     assert json.dumps(rec["payload"]["rows"]) == json.dumps(rows)  # keeps the sign of every zero
 
 
+def _row_dict_output(nu, n_min, n_max, table=None):
+    """The confluence command's stdout as json.dump(indent=2) of a record with one dict
+    per row prints it, and its exit code."""
+    try:
+        table = stokes_unfold.confluence_table(nu, n_min, n_max) if table is None else table
+    except ValueError as exc:
+        return 3, json.dumps({"error": {"exit_code": 3, "type": "ValueError", "message": str(exc)}}, indent=2) + "\n"
+    lim_l2, lim_r3 = stokes_unfold.limit_targets(nu)
+    columns = (table.n, table.sqrt_eps, table.d_L2.real, table.d_L2.imag, table.d_R3.real, table.d_R3.imag,
+               table.err_L2, table.err_R3, table.stokes_err_L, table.stokes_err_R)
+    payload = {
+        "limit_d_L2": complex_to_json(lim_l2),
+        "limit_d_R3": complex_to_json(lim_r3),
+        "rows": [{"n": n, "sqrt_eps": se, "d_L2": {"re": l2r, "im": l2i}, "d_R3": {"re": r3r, "im": r3i},
+                  "err_L2": e2, "err_R3": e3, "stokes_err_L": sl, "stokes_err_R": sr}
+                 for n, se, l2r, l2i, r3r, r3i, e2, e3, sl, sr in zip(*(c.tolist() for c in columns))],
+    }
+    if len(table) >= 4:
+        try:
+            payload["fitted_rate_L"] = stokes_unfold.fitted_rate(table, "stokes_err_L")
+            payload["fitted_rate_R"] = stokes_unfold.fitted_rate(table, "stokes_err_R")
+        except ValueError:
+            pass
+    record = {"schema_version": "1", "command": "confluence",
+              "params": {"nu": complex_to_json(nu), "n_min": n_min, "n_max": n_max}, "payload": payload}
+    return 0, json.dumps(record, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("n_min, n_max", [(1, 1), (1, 3), (10, 200), (60, 70)])
+@pytest.mark.parametrize("nu", ["0.5", "2", "-1.5", repr(1 / 3), "3.7", "-1"])
+def test_confluence_json_streams_the_row_dict_bytes(capsys, monkeypatch, nu, n_min, n_max):
+    # blocks of 7 rows, so every range but 1..1 and 1..3 has block joins, and those two
+    # are too short for the fitted rates; 60..70 crosses n = 64; -1.5 and -1 from n = 1
+    # are refused, and at -1 every delta is 0, so the fitted rates are refused too
+    monkeypatch.setattr("stokes_unfold.cli._CSV_BLOCK_ROWS", 7)
+    code, out = run_cli(capsys, "confluence", "--nu", nu, "--n-min", str(n_min), "--n-max", str(n_max))
+    assert (code, out) == _row_dict_output(float(nu), n_min, n_max)
+
+
+def test_confluence_json_non_finite_and_signed_zero(capsys, monkeypatch):
+    # NaN, +-inf and -0.0 in several columns and blocks, outside the last decade that the
+    # fitted rates read
+    monkeypatch.setattr("stokes_unfold.cli._CSV_BLOCK_ROWS", 7)
+    table = stokes_unfold.confluence_table(0.5, 1, 40)
+    sqrt_eps, d_l2, d_r3, delta = (np.array(c) for c in (table.sqrt_eps, table.d_L2, table.d_R3, table.delta))
+    delta[:3] = math.inf, math.nan, -0.0
+    sqrt_eps[5] = -math.inf
+    d_l2[9] = complex(math.nan, -0.0)
+    d_r3[15] = complex(-0.0, math.inf)
+    table = dataclasses.replace(table, sqrt_eps=sqrt_eps, d_L2=d_l2, d_R3=d_r3, delta=delta)
+    monkeypatch.setattr("stokes_unfold.cli.confluence_table", lambda *args: table)
+    code, out = run_cli(capsys, "confluence", "--nu", "0.5", "--n-min", "1", "--n-max", "40")
+    assert (code, out) == _row_dict_output(0.5, 1, 40, table)
+    assert all(word in out for word in ("NaN", "Infinity", "-Infinity", "-0.0", "fitted_rate_L"))
+
+
+def test_confluence_json_with_gnuplot_files(tmp_path, capsys):
+    prefix = str(tmp_path / "table")
+    code, out = run_cli(capsys, "confluence", "--nu", "0.5", "--n-min", "3", "--n-max", "30", "--gnuplot", prefix)
+    assert (code, out) == _row_dict_output(0.5, 3, 30)
+    _, csv_out = run_cli(capsys, "confluence", "--nu", "0.5", "--n-min", "3", "--n-max", "30", "--format", "csv")
+    assert (tmp_path / "table.csv").read_text() == csv_out
+    csv_path = prefix + ".csv"
+    assert (tmp_path / "table.gp").read_text() == (
+        "set datafile separator ','\nset logscale xy\nset xlabel 'resonance index n'\n"
+        "set ylabel 'max-norm distance to the Stokes matrices'\n"
+        f"plot '{csv_path}' skip 1 using 1:9 with linespoints title 'stokes_err_L', \\\n"
+        f"     '{csv_path}' skip 1 using 1:10 with linespoints title 'stokes_err_R'\n"
+    )
+
+
 def test_confluence_json_payload(capsys):
     code, rec = run_json(capsys, "confluence", "--nu", "-1", "--n-min", "2", "--n-max", "4")
     assert code == 0
@@ -271,6 +345,14 @@ def test_check_reports_known_rate_defect(capsys, monkeypatch):
     assert len(results) == 1
     assert results[0]["passed"] is False
     assert "fitted exponent -1.000" in results[0]["detail"]
+
+
+def test_parser_is_reused_without_leaking_options(capsys):
+    code, rec = run_json(capsys, "check", "--filter", "borel", "--seed", "5")
+    assert code == 0 and rec["payload"]["seed"] == 5 and len(rec["payload"]["results"]) < 28
+    code, rec = run_json(capsys, "check")
+    assert code == 0
+    assert (rec["payload"]["seed"], rec["payload"]["filter"], len(rec["payload"]["results"])) == (0, None, 28)
 
 
 def test_module_entry_point():

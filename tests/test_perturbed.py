@@ -19,6 +19,7 @@ from stokes_unfold import (
 from stokes_unfold.errors import (
     BranchCutError,
     DivergentIntegralError,
+    DoubleRangeError,
     OrdinaryPointError,
     PathError,
     ResonanceError,
@@ -438,6 +439,17 @@ def test_offdiag_preconditions():
         su.offdiag_solution_quadrature(p, 0.5, OffDiagonal.PHI13)  # wrong side
     with pytest.raises(DivergentIntegralError):
         su.offdiag_solution_quadrature(PerturbParams(-5.0, 1.0 / 2.1), 0.9, OffDiagonal.PHI12)
+
+
+@pytest.mark.parametrize("nu, x_over_s, which, log10_scale", [
+    (-400.0, 31.0, OffDiagonal.PHI12, "863.2"),  # above DBL_MAX
+    (-100.0, -1.1, OffDiagonal.PHI13, "340.6"),
+    (300.0, 31.0, OffDiagonal.PHI12, "-477.8"),  # below DBL_MIN
+])
+def test_offdiag_refuses_entries_outside_double_range(nu, x_over_s, which, log10_scale):
+    s = 1.0 / 1001.0
+    with pytest.raises(DoubleRangeError, match=rf"10\^{log10_scale},"):
+        su.offdiag_solution_quadrature(PerturbParams(nu, s), x_over_s * s, which)
 
 
 def test_sign_flip_mirror_identity():
