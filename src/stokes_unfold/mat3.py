@@ -42,10 +42,10 @@ def det3(m) -> complex:
     )
 
 
-def inverse3(m) -> np.ndarray:
-    """Adjugate/determinant inverse.
+def invertible_det3(m) -> complex:
+    """det of a matrix the package may invert.
 
-    Raises SingularMatrixError when |det| < 1e-13 (max row sum)^3, so the
+    Raises SingularMatrixError when |det| <= 1e-13 (max row sum)^3, so the
     threshold tracks the scale of the input.
     """
     a = as_matrix3(m)
@@ -53,6 +53,13 @@ def inverse3(m) -> np.ndarray:
     row_norm = float(np.max(np.sum(np.abs(a), axis=1)))
     if abs(d) <= SINGULARITY_RTOL * row_norm**3:
         raise SingularMatrixError(f"determinant modulus {abs(d):.3e} below threshold")
+    return d
+
+
+def inverse3(m) -> np.ndarray:
+    """Adjugate/determinant inverse; refuses what ``invertible_det3`` refuses."""
+    a = as_matrix3(m)
+    d = invertible_det3(a)
     cof = np.empty((3, 3), dtype=complex)
     for i in range(3):
         for j in range(3):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GuardError, PathError, ResonanceError, ToleranceError
-from .mat3 import as_matrix3, identity3, inverse3, max_abs
+from .mat3 import as_matrix3, identity3, invertible_det3, max_abs
 from .paths import ContourPath, circle, concat
 from .perturbed import (
     PerturbParams,
@@ -101,7 +101,11 @@ def integrate_path(system: CompanionSystem, path: ContourPath, y0, tol: float = 
     call samples A on 64 points of the circle of radius 0.6 r_j about every centre, whose
     DFT gives A's Taylor coefficients there.  (m+1) Y_{m+1} = sum_l A_l Y_{m-l} then runs
     for all steps at once until two consecutive terms fall below tol * max(1, |Phi_j|),
-    so ``tol`` bounds each step's truncation.  Raises ToleranceError, naming the segment,
+    so ``tol`` bounds each step's truncation.  Each term is one broadcast product of
+    contiguous slices, (n, 3, 1, 3(m+1)) @ (n, 1, 3(m+1), 3) for n steps: row i of
+    t A_l t^l for l < 64 lies side by side in d[j, i, 0], and the terms Y_m t^m so far
+    are stacked newest first at the end of terms[j, 0].  Raises SingularMatrixError when
+    ``y0`` fails the determinant rule of ``inverse3``; ToleranceError, naming the segment,
     when the last two coefficients on a circle exceed tol relative to the largest sample
     (a singularity inside it) or when a series has not converged by 64 terms; ValueError
     unless tol > 0.
@@ -109,7 +113,7 @@ def integrate_path(system: CompanionSystem, path: ContourPath, y0, tol: float = 
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     y = as_matrix3(y0).astype(complex)
-    inverse3(y)  # rejects non-invertible initial data
+    invertible_det3(y)  # rejects non-invertible initial data
     singular = system.singularities()
     clearance = system.clearance()
     for sing in singular:
@@ -120,21 +124,23 @@ def integrate_path(system: CompanionSystem, path: ContourPath, y0, tol: float = 
         return y
     rho = _SAMPLE_RATIO * r
     n, k = len(c), _CAUCHY_POINTS
-    # d[j, i, l] is row i of t A_l t^l about centre j, and terms[j, k - m] is Y_m t^m, so
-    # that the sum over l of (t A_l t^l)(Y_{m-l} t^{m-l}) is one matmul of contiguous slices
+    # d[j, i, 0, 3l:3l+3] is row i of t A_l t^l about centre j, and terms[j, 0, 3(k-m):3(k-m+1)]
+    # is Y_m t^m, so that sum_l (t A_l t^l)(Y_{m-l} t^{m-l}) is one broadcast product of a
+    # 1 x 3(m+1) row by a 3(m+1) x 3 block, both contiguous slices, for every (j, i): numpy
+    # runs the stacked (n, 3, 3(m+1)) @ (n, 3(m+1), 3) form as n separate small products
     d = _taylor_coefficients(system, c, rho, tol, segments)
     d *= (t[:, None] * (t / rho)[:, None] ** _POWERS)[:, :, None]
-    d = np.ascontiguousarray(d.reshape(n, k, 3, 3).transpose(0, 2, 1, 3))
-    terms = np.empty((n, k + 1, 3, 3), dtype=complex)
-    terms[:, k] = np.eye(3)
-    phi = terms[:, k].copy()
+    d = np.ascontiguousarray(d.reshape(n, k, 3, 3).transpose(0, 2, 1, 3)).reshape(n, 3, 1, 3 * k)
+    terms = np.empty((n, 1, 3 * (k + 1), 3), dtype=complex)
+    terms[:, 0, 3 * k:] = np.eye(3)
+    phi = np.tile(np.eye(3, dtype=complex), (n, 1, 1))
     small = np.zeros(n, dtype=int)
     for m in range(k):
-        term = d[:, :, :m + 1].reshape(n, 3, -1) @ terms[:, k - m:].reshape(n, -1, 3) / (m + 1)
-        terms[:, k - m - 1] = term
+        term = (d[..., :3 * (m + 1)] @ terms[..., 3 * (k - m):, :]).reshape(n, 3, 3) / (m + 1)
+        terms[:, 0, 3 * (k - m - 1):3 * (k - m)] = term
         phi += term
         below = np.abs(term).max(axis=(1, 2)) <= tol * np.maximum(1.0, np.abs(phi).max(axis=(1, 2)))
-        small = np.where(below, small + 1, 0)
+        small = (small + 1) * below
         if small.min() >= 2:
             break
     else:

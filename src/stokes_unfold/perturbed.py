@@ -336,6 +336,8 @@ def ratio_integral_check(a: float, b: float, x: float, tol: float = 1e-10) -> tu
     relative to span max h, span = |x + a|.  At tol 1e-10 and 1e-12 the quadrature
     is within 1e-13 relative of 40-digit values for a in [1e-3, 1.2], b in
     [1.01, 500] and span up to 100 a, wherever the closed form is a normal double.
+    Where the integral's scale H or ((x+a)/(x-a))^b leaves the range of normal
+    doubles, DoubleRangeError states its log-magnitude.
     """
     a = float(a)
     b = float(b)
@@ -343,6 +345,8 @@ def ratio_integral_check(a: float, b: float, x: float, tol: float = 1e-10) -> tu
     if not (a > 0 and b > 1 and x < -a):
         raise ValueError("need a > 0, b > 1 and x < -a")
     scaled, log_scale = _two_pole_integral(a, b - 1.0, b + 1.0, -(x + a), tol)
+    _require_normal_double("integral", log_scale)
+    _require_normal_double("closed-form", b * math.log((x + a) / (x - a)))
     quadrature = -scaled * math.exp(log_scale)
     closed = -1.0 / (2.0 * a * b) * ((x + a) / (x - a)) ** b
     return complex(quadrature), complex(closed)
@@ -532,10 +536,15 @@ def offdiag_solution_quadrature(params: PerturbParams, x, which: OffDiagonal,
         log_mag, factor = log_scale + log_phi1, 1.0
     else:
         log_mag, factor = log_scale - log_phi1, 0.5
-    if not _LOG_DBL_MIN <= log_mag <= _LOG_DBL_MAX:
-        raise DoubleRangeError(f"{which.name} scale is 10^{log_mag / math.log(10.0):.1f}, "
-                               "outside the range of normal doubles")
+    _require_normal_double(which.name, log_mag)
     return complex(factor * scaled * math.exp(log_mag))
+
+
+def _require_normal_double(name: str, log_mag: float) -> None:
+    """DoubleRangeError, stating log10 of the scale, unless exp(log_mag) is a normal double."""
+    if not _LOG_DBL_MIN <= log_mag <= _LOG_DBL_MAX:
+        raise DoubleRangeError(f"{name} scale is 10^{log_mag / math.log(10.0):.1f}, "
+                               "outside the range of normal doubles")
 
 
 def _two_pole_integral(s: float, p: float, q: float, span: float, tol: float) -> tuple:

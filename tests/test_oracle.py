@@ -51,6 +51,50 @@ def test_constant_coefficient_against_series_exponential():
     assert su.max_abs(y - series_exp(a)) <= 1e-10
 
 
+def test_dense_constant_system_against_series_exponential():
+    # all nine entries of A nonzero and no symmetry, so a transposed or misaligned block
+    # in the term product would show; a complex path scales A by 0.6 + 0.8i
+    rng = np.random.default_rng(151)
+    a = 0.7 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    y0 = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    assert np.all(np.abs(a) > 0.05)
+    y = su.integrate_path(FrozenSystem(a), polyline(0.0, 0.6 + 0.8j), y0, tol=1e-12)
+    expected = series_exp((0.6 + 0.8j) * a, terms=40) @ y0
+    assert su.max_abs(y - expected) <= 1e-11 * su.max_abs(expected)
+
+
+class FuchsianSystem:
+    """A = R/(x - p) with R = P diag(w) P^-1 dense: the A(x) commute, so the transport
+    from x0 to x is P diag(((x - p)/(x0 - p))^w) P^-1, and every A_l is dense."""
+
+    def __init__(self, pole, p, w):
+        self.pole, self.p, self.w = pole, p, np.asarray(w)
+        self.r = p @ np.diag(self.w) @ np.linalg.inv(p)
+
+    def matrix(self, x):
+        return self.r / (np.asarray(x)[..., None, None] - self.pole)
+
+    def exact(self, x0, x):
+        return self.p @ np.diag(((x - self.pole) / (x0 - self.pole)) ** self.w) @ np.linalg.inv(self.p)
+
+    def singularities(self):
+        return (self.pole,)
+
+    def clearance(self):
+        return 1e-3
+
+
+def test_dense_fuchsian_system_against_closed_form():
+    rng = np.random.default_rng(152)
+    p = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    system = FuchsianSystem(0.2 + 0.1j, p, [0.5, -1.3 + 0.4j, 2.2])
+    assert np.all(np.abs(system.r) > 0.05)
+    x0, x1 = 0.3 - 0.5j, 1.7 + 0.6j  # the segment keeps clear of the pole and its cut
+    y = su.integrate_path(system, polyline(x0, x1), np.eye(3), tol=1e-12)
+    expected = system.exact(x0, x1)
+    assert su.max_abs(y - expected) <= 1e-10 * su.max_abs(expected)
+
+
 OFF_AXIS_POINTS = (0.3 + 0.2j, -0.7 + 0.05j, 0.01 - 0.4j, 2.5 + 1.5j)
 
 
@@ -170,6 +214,30 @@ def test_initial_matrix_must_be_invertible():
     system = CompanionSystem.perturbed(params)
     with pytest.raises(SingularMatrixError):
         su.integrate_path(system, polyline(0.0, 0.1), np.zeros((3, 3)))
+
+
+def test_initial_data_refused_exactly_where_inverse3_refuses():
+    # a singular matrix nudged by delta in one entry (det = delta, threshold 1e-13 * 12^3 =
+    # 1.728e-10 at scale 1), at every scale: the transport refuses its initial data by the
+    # same scale-aware determinant rule as inverse3
+    singular = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]], dtype=complex)
+    nudge = np.zeros((3, 3), dtype=complex)
+    nudge[1, 0] = 1.0
+    system = FrozenSystem(np.eye(3, k=1))
+    refused = []
+    for scale in 10.0 ** np.arange(-8, 9):
+        for delta in (0.0, 1e-14, 1e-12, 1e-10, 1.7e-10, 1.75e-10, 1e-9, 1e-6):
+            y0 = scale * (singular + delta * nudge)
+            try:
+                su.inverse3(y0)
+            except SingularMatrixError:
+                with pytest.raises(SingularMatrixError):
+                    su.integrate_path(system, polyline(0.0, 0.5), y0)
+                refused.append(delta)
+            else:
+                y = su.integrate_path(system, polyline(0.0, 0.5), y0)
+                assert su.max_abs(y - series_exp(0.5 * system.a) @ y0) <= 1e-12 * su.max_abs(y0)
+    assert refused == [0.0, 1e-14, 1e-12, 1e-10, 1.7e-10] * 17
 
 
 def test_scalar_and_companion_routes_agree():

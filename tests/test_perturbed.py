@@ -271,6 +271,17 @@ def test_ratio_integral_preconditions():
         su.ratio_integral_check(0.5, 2.0, -0.4)
 
 
+@pytest.mark.parametrize("a, b, x, log10_scale", [
+    (1e-3, 500.0, -1.2e-3, "-514.3"),  # true value about -10^-521
+    (1e-3, 2000.0, -1.2e-3, "-2076.4"),
+    (0.5, 3000.0, -0.6, "-3123.2"),
+])
+def test_ratio_integral_refuses_values_below_double_range(a, b, x, log10_scale):
+    # both ends would underflow to a silent -0j
+    with pytest.raises(DoubleRangeError, match=rf"10\^{log10_scale},"):
+        su.ratio_integral_check(a, b, x)
+
+
 def test_residues_nu2_exact():
     for n in range(2, 11):
         res = su.residues(PerturbParams.from_resonant_index(2.0, n))
