@@ -48,24 +48,16 @@ from .errors import (
     StokesUnfoldError,
     ToleranceError,
 )
-from .gammas import gamma, reciprocal_gamma, rising_factorial
-from .mat3 import (
-    det3,
-    exp_diagonal,
-    exp_first_row_nilpotent,
-    identity3,
-    inverse3,
-    max_abs,
-)
+from .gammas import gamma, reciprocal_gamma
+from .mat3 import exp_first_row_nilpotent, identity3, max_abs
 from .oracle import (
     CompanionSystem,
     MonodromyReport,
-    composed_loop_matrix,
     integrate_path,
     numerical_monodromy,
     unperturbed_monodromy,
 )
-from .paths import Arc, ContourPath, Line, circle, concat, polyline
+from .paths import Arc, ContourPath, Line, circle, polyline
 from .perturbed import (
     ExponentData,
     OffDiagonal,
@@ -76,7 +68,6 @@ from .perturbed import (
     SingularPoint,
     characteristic_exponents,
     classify_resonance,
-    coefficients_a,
     diagonal_solutions,
     indicial_roots,
     infinity_form_coefficients,
@@ -94,7 +85,6 @@ from .series import (
     SeriesKind,
     borel_transform_value,
     build_series,
-    gevrey_bound_check,
     gevrey_constants,
     ode_residual_coefficients,
 )

@@ -26,6 +26,7 @@ from .series import SeriesKind, build_series, gevrey_constants
 
 TOL_DEFAULT = 1e-10
 DELTA_DEFAULT = math.pi / 12
+_RESIDUAL_STEP = 1e-5
 _RAY_MARGIN = 10.0  # times sqrt(tol), minimum ray clearance from the Borel singularity
 
 
@@ -120,8 +121,7 @@ def two_sided_values(nu, kind: SeriesKind, x, tol: float = TOL_DEFAULT,
     return plus, minus
 
 
-def stokes_jump_quadrature(nu, kind: SeriesKind, x, tol: float = TOL_DEFAULT,
-                           delta: float = DELTA_DEFAULT) -> complex:
+def stokes_jump_quadrature(nu, kind: SeriesKind, x, tol: float = TOL_DEFAULT) -> complex:
     """Coefficient c in (minus - plus) = c x^{-nu} e^{-1/x} (PSI) or
     c x^{-nu} e^{+1/x} (PHI), extracted by quadrature.
 
@@ -136,7 +136,7 @@ def stokes_jump_quadrature(nu, kind: SeriesKind, x, tol: float = TOL_DEFAULT,
     """
     x = complex(x)
     nu = complex(nu)
-    plus, minus = two_sided_values(nu, kind, x, tol, delta)
+    plus, minus = two_sided_values(nu, kind, x, tol)
     if kind is SeriesKind.PSI:
         factor = cmath.exp(nu * cmath.log(x) + 1.0 / x)
     else:
@@ -155,14 +155,13 @@ def jump_coefficient_closed(nu, kind: SeriesKind) -> complex:
     return base
 
 
-def asymptotic_remainders(nu, kind: SeriesKind, x, theta, n_max: int = 15,
-                          tol: float = TOL_DEFAULT):
+def asymptotic_remainders(nu, kind: SeriesKind, x, theta, n_max: int = 15):
     """(N, |sum - partial_sum_N|, C A^N N! |x|^N) for N = 0..n_max.
 
     The third column is the order-1 Gevrey envelope with the family
     constants; the resummed value must sit inside it for every N.
     """
-    value = laplace_sum(LaplaceQuery(nu, kind, x, theta, tol))
+    value = laplace_sum(LaplaceQuery(nu, kind, x, theta))
     series = build_series(nu, kind, n_max)
     big_c, big_a = gevrey_constants(nu)
     out = []
@@ -173,16 +172,15 @@ def asymptotic_remainders(nu, kind: SeriesKind, x, theta, n_max: int = 15,
     return out
 
 
-def resummed_ode_residual(nu, kind: SeriesKind, x, theta, tol: float = TOL_DEFAULT,
-                          step: float = 1e-5) -> float:
+def resummed_ode_residual(nu, kind: SeriesKind, x, theta, tol: float = TOL_DEFAULT) -> float:
     """|x^2 u' + (nu x -+ 1) u +- 1| for the resummed function, with u'
-    taken as a central finite difference of two nearby resummations."""
+    taken as a central finite difference of two resummations 1e-5 away."""
     nu = complex(nu)
     x = complex(x)
     u = laplace_sum(LaplaceQuery(nu, kind, x, theta, tol))
-    up = laplace_sum(LaplaceQuery(nu, kind, x + step, theta, tol))
-    um = laplace_sum(LaplaceQuery(nu, kind, x - step, theta, tol))
-    du = (up - um) / (2.0 * step)
+    up = laplace_sum(LaplaceQuery(nu, kind, x + _RESIDUAL_STEP, theta, tol))
+    um = laplace_sum(LaplaceQuery(nu, kind, x - _RESIDUAL_STEP, theta, tol))
+    du = (up - um) / (2.0 * _RESIDUAL_STEP)
     if kind is SeriesKind.PSI:
         res = x * x * du + (nu * x - 1.0) * u + 1.0
     else:

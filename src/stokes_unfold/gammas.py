@@ -105,21 +105,6 @@ def _sin_pi(z: complex, k: int) -> complex:
     return -s if k % 2 else s
 
 
-def rising_factorial(nu, n: int) -> complex:
-    """nu (nu+1) ... (nu+n-1), with the empty product equal to 1.
-
-    The explicit product propagates the exact zeros of the terminating
-    cases (nu a non-positive integer), which the Gamma-ratio form cannot.
-    """
-    if n < 0:
-        raise ValueError("rising_factorial needs n >= 0")
-    nu = complex(nu)
-    acc = 1.0 + 0j
-    for k in range(n):
-        acc *= nu + k
-    return acc
-
-
 @functools.lru_cache(maxsize=32)
 def _midpoint_coefficients(nu) -> tuple:
     """-2 B_{2j+1}(nu/2) / (2j (2j+1)), j = 1..12: the midpoint series of log R in 1/z^2."""

@@ -1,8 +1,8 @@
 """Dense 3x3 complex-matrix helpers.
 
-Everything here is closed form: an adjugate inverse with a scale-aware
-singularity threshold and the two special exponentials the invariant
-formulas need (diagonal, and first-row nilpotent where T^2 = 0).
+Everything here is closed form: the determinant with a scale-aware
+singularity threshold, and the first-row nilpotent exponential (T^2 = 0)
+of the unfolded Stokes matrices.
 """
 
 from __future__ import annotations
@@ -54,28 +54,6 @@ def invertible_det3(m) -> complex:
     if abs(d) <= SINGULARITY_RTOL * row_norm**3:
         raise SingularMatrixError(f"determinant modulus {abs(d):.3e} below threshold")
     return d
-
-
-def inverse3(m) -> np.ndarray:
-    """Adjugate/determinant inverse; refuses what ``invertible_det3`` refuses."""
-    a = as_matrix3(m)
-    d = invertible_det3(a)
-    cof = np.empty((3, 3), dtype=complex)
-    for i in range(3):
-        for j in range(3):
-            rows = [r for r in range(3) if r != i]
-            cols = [c for c in range(3) if c != j]
-            minor = a[np.ix_(rows, cols)]
-            cof[i, j] = (-1) ** (i + j) * (minor[0, 0] * minor[1, 1] - minor[0, 1] * minor[1, 0])
-    return cof.T / d
-
-
-def exp_diagonal(d, scale=1.0) -> np.ndarray:
-    """exp(scale * D) for diagonal D, computed entrywise."""
-    a = as_matrix3(d)
-    if np.any(a[~np.eye(3, dtype=bool)] != 0):
-        raise MatrixShapeError("exp_diagonal requires a diagonal matrix")
-    return np.diag(np.exp(complex(scale) * np.diag(a)))
 
 
 def exp_first_row_nilpotent(t, scale=1.0) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import GuardError, PathError, ResonanceError, ToleranceError
 from .mat3 import as_matrix3, identity3, invertible_det3, max_abs
-from .paths import ContourPath, circle, concat
+from .paths import ContourPath, circle
 from .perturbed import (
     PerturbParams,
     ResonanceClass,
@@ -105,7 +105,7 @@ def integrate_path(system: CompanionSystem, path: ContourPath, y0, tol: float = 
     contiguous slices, (n, 3, 1, 3(m+1)) @ (n, 1, 3(m+1), 3) for n steps: row i of
     t A_l t^l for l < 64 lies side by side in d[j, i, 0], and the terms Y_m t^m so far
     are stacked newest first at the end of terms[j, 0].  Raises SingularMatrixError when
-    ``y0`` fails the determinant rule of ``inverse3``; ToleranceError, naming the segment,
+    ``y0`` fails the determinant rule of ``invertible_det3``; ToleranceError, naming the segment,
     when the last two coefficients on a circle exceed tol relative to the largest sample
     (a singularity inside it) or when a series has not converged by 64 terms; ValueError
     unless tol > 0.
@@ -213,11 +213,11 @@ def _repeated_groups(closed):
     return [(v, m) for v, m in groups if m >= 2]
 
 
-def detect_log_structure(m, closed_eigenvalues, rtol: float = JORDAN_RTOL) -> bool:
+def detect_log_structure(m, closed_eigenvalues) -> bool:
     """True when M is non-semisimple at a repeated eigenvalue.
 
     A semisimple eigenvalue of multiplicity k leaves rank(M - lambda I) at
-    3 - k; the (3-k)-th singular value rising above rtol * scale flags a
+    3 - k; the (3-k)-th singular value rising above JORDAN_RTOL * scale flags a
     Jordan block.  Rank is conjugation invariant, so the test works in the
     numerical frame.
     """
@@ -225,7 +225,7 @@ def detect_log_structure(m, closed_eigenvalues, rtol: float = JORDAN_RTOL) -> bo
     scale = max(1.0, max_abs(m))
     for value, mult in _repeated_groups(closed_eigenvalues):
         sv = np.linalg.svd(m - value * np.eye(3), compute_uv=False)
-        if sv[3 - mult] > rtol * scale:
+        if sv[3 - mult] > JORDAN_RTOL * scale:
             return True
     return False
 
@@ -305,14 +305,3 @@ def unperturbed_monodromy(nu, radius: float = 1.0, tol: float = 1e-9) -> Monodro
     closed = tuple(np.diag(m0))  # triangular, eigenvalues on the diagonal
     det_closed = closed[0] * closed[1] * closed[2]
     return _build_report(m, closed, det_closed)
-
-
-def composed_loop_matrix(params: PerturbParams, tol: float = 1e-9,
-                         allow_stiff: bool = False) -> np.ndarray:
-    """Continuation around gamma_R followed by gamma_L from the same base
-    point; its eigenvalues match those of the closed-form inverse monodromy
-    at infinity."""
-    _stiffness_guard(params, allow_stiff)
-    system = CompanionSystem.perturbed(params)
-    path = concat(loop_around(params, "R"), loop_around(params, "L"))
-    return integrate_path(system, path, identity3(), tol)

@@ -87,18 +87,6 @@ class ContourPath:
     def __iter__(self):
         return iter(self.segments)
 
-    @property
-    def start(self) -> complex:
-        return self.segments[0].point(0.0)
-
-    @property
-    def end(self) -> complex:
-        return self.segments[-1].point(1.0)
-
-    @property
-    def length(self) -> float:
-        return sum(s.length for s in self.segments)
-
     def min_distance(self, z: complex) -> float:
         return min(s.min_distance(complex(z)) for s in self.segments)
 
@@ -112,11 +100,9 @@ class ContourPath:
         return ContourPath(out)
 
 
-def circle(center, radius, angle_start: float = 0.0, turns: float = 1.0) -> ContourPath:
-    """Closed (or partial) circular loop; positive turns run counterclockwise."""
-    return ContourPath(
-        [Arc(complex(center), float(radius), float(angle_start), float(angle_start) + _TWO_PI * turns)]
-    )
+def circle(center, radius, angle_start: float = 0.0) -> ContourPath:
+    """Closed counterclockwise circular loop starting at ``angle_start``."""
+    return ContourPath([Arc(complex(center), float(radius), float(angle_start), float(angle_start) + _TWO_PI)])
 
 
 def polyline(*points) -> ContourPath:
@@ -124,10 +110,3 @@ def polyline(*points) -> ContourPath:
     if len(pts) < 2:
         raise PathError("a polyline needs at least two points")
     return ContourPath([Line(a, b) for a, b in zip(pts, pts[1:])])
-
-
-def concat(*paths) -> ContourPath:
-    segs = []
-    for p in paths:
-        segs.extend(p.segments)
-    return ContourPath(segs)

@@ -36,6 +36,7 @@ from .unperturbed import exponent_diagonals
 
 INTEGRALITY_TOL = 1e-9
 _SINGULARITY_MARGIN = 1e-12
+_RESIDUE_NODES = 4096
 _LOG_DBL_MIN, _LOG_DBL_MAX = math.log(sys.float_info.min), math.log(sys.float_info.max)
 
 
@@ -86,10 +87,6 @@ class PerturbParams:
         if scale <= 1.0:
             raise ValueError(f"nu + 2 n = {scale} must exceed 1")
         return cls(nu, 1.0 / scale)
-
-    @property
-    def eps(self) -> float:
-        return self.sqrt_eps**2
 
     @property
     def x_L(self) -> float:
@@ -163,17 +160,6 @@ def _partial_fraction_weights(params: PerturbParams):
     w_j = (Lambda + Q/x_j)/2 of (Lambda x + Q)/(x^2 - eps) at x_j."""
     lam, q = exponent_diagonals(params.nu)
     return [((l + c / params.x_R) / 2.0, (l + c / params.x_L) / 2.0) for l, c in zip(lam, q)]
-
-
-def coefficients_a(params: PerturbParams, x) -> tuple:
-    """Coefficients a_1, a_2, a_3 of the first-order factors d/dx - a_k:
-    a = (Lambda x + Q)/(x^2 - eps) as partial fractions."""
-    x = complex(x)
-    _check_off_singularities(params, x)
-    return tuple(
-        wr / (x - params.x_R) + wl / (x - params.x_L)
-        for (wr, wl) in _partial_fraction_weights(params)
-    )
 
 
 def scalar_form_coefficients(params: PerturbParams, x) -> tuple:
@@ -422,10 +408,10 @@ def residues(params: PerturbParams) -> ResidueData:
     return ResidueData(d_L2=d_l2, d_R3=d_r3, T_L=t_l, T_R=t_r)
 
 
-def residue_numeric_oracle(params: PerturbParams, which: ResidueKind, nodes: int = 4096) -> complex:
+def residue_numeric_oracle(params: PerturbParams, which: ResidueKind) -> complex:
     """Contour-integral evaluation of the residue coefficients.
 
-    Trapezoid rule with ``nodes`` points on a circle of radius sqrt(eps)/2
+    Trapezoid rule with 4096 points on a circle of radius sqrt(eps)/2
     around the relevant singular point.  The pole factor has the integer
     exponent n+1 and winds harmlessly; the other factor's argument is
     tracked continuously around the circle, anchored at -pi on the negative
@@ -445,14 +431,14 @@ def residue_numeric_oracle(params: PerturbParams, which: ResidueKind, nodes: int
     else:
         raise ValueError(f"unknown residue kind {which!r}")
     r = s / 2.0
-    phi = 2.0 * math.pi * np.arange(nodes) / nodes
+    phi = 2.0 * math.pi * np.arange(_RESIDUE_NODES) / _RESIDUE_NODES
     xs = center + r * np.exp(1j * phi)
     w = xs - other
     ang = np.unwrap(np.angle(w))
     ang += anchor - ang[0]
     outer = np.exp(p * (np.log(np.abs(w)) + 1j * ang))
     inner = (r * np.exp(1j * phi)) ** (-(n + 1))
-    total = (r / nodes) * np.sum(outer * inner * np.exp(1j * phi))
+    total = (r / _RESIDUE_NODES) * np.sum(outer * inner * np.exp(1j * phi))
     return prefactor * complex(total)
 
 

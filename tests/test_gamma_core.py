@@ -7,16 +7,7 @@ import pytest
 
 import stokes_unfold as su
 from stokes_unfold.errors import GammaPoleError, MatrixShapeError, SingularMatrixError
-
-
-def random_off_integer(rng, scale=20.0):
-    while True:
-        z = complex(rng.uniform(-scale, scale), rng.uniform(-scale, scale))
-        if abs(z) > scale:
-            continue
-        if abs(z.real - round(z.real)) < 0.05 and abs(z.imag) < 0.05:
-            continue
-        return z
+from stokes_unfold.mat3 import invertible_det3
 
 
 def test_gamma_factorials():
@@ -42,36 +33,6 @@ def test_reciprocal_gamma_exact_zeros():
     assert su.reciprocal_gamma(2) == pytest.approx(1.0)
 
 
-def test_rising_factorial_values():
-    assert su.rising_factorial(0.3 + 0.1j, 0) == 1.0
-    assert su.rising_factorial(2, 3) == pytest.approx(24.0)  # 2*3*4
-    assert su.rising_factorial(-1, 3) == 0  # factor (nu+1) vanishes exactly
-
-
-def test_rising_factorial_vs_gamma_ratio():
-    rng = np.random.default_rng(10)
-    for _ in range(100):
-        nu = random_off_integer(rng, scale=6.0)
-        n = int(rng.integers(0, 12))
-        ratio = su.gamma(nu + n) * su.reciprocal_gamma(nu)
-        assert abs(su.rising_factorial(nu, n) - ratio) <= 1e-12 * max(1.0, abs(ratio))
-
-
-def test_exp_diagonal():
-    m = su.exp_diagonal(np.diag([0.0, 0.5 - 2, 0.5 - 4]).astype(complex), 2j * math.pi)
-    assert np.allclose(np.diag(m), [1.0, -1.0, -1.0], atol=1e-14)
-    assert np.allclose(su.exp_diagonal(np.zeros((3, 3))), np.eye(3))
-    m2 = su.exp_diagonal(np.diag([1.0, 2.0, 0.0]).astype(complex), 1j * math.pi)
-    assert np.allclose(np.diag(m2), [-1.0, 1.0, 1.0], atol=1e-15)
-
-
-def test_exp_diagonal_rejects_offdiagonal():
-    bad = np.eye(3, dtype=complex)
-    bad[1, 0] = 1e-3
-    with pytest.raises(MatrixShapeError):
-        su.exp_diagonal(bad)
-
-
 def test_exp_nilpotent_shape_and_values():
     assert np.allclose(su.exp_first_row_nilpotent(np.zeros((3, 3))), np.eye(3))
     t = np.zeros((3, 3), dtype=complex)
@@ -86,18 +47,11 @@ def test_exp_nilpotent_shape_and_values():
         su.exp_first_row_nilpotent(bad)
 
 
-def test_inverse3_matches_numpy():
-    rng = np.random.default_rng(12)
-    for _ in range(100):
-        m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        assert su.max_abs(su.inverse3(m) - np.linalg.inv(m)) <= 1e-12 * su.max_abs(np.linalg.inv(m))
-
-
-def test_inverse3_singularity_threshold_is_scale_aware():
+def test_invertible_det3_threshold_is_scale_aware():
     singular = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]], dtype=complex)
     for scale in (1.0, 1e6, 1e-6):
         with pytest.raises(SingularMatrixError):
-            su.inverse3(scale * singular)
+            invertible_det3(scale * singular)
 
 
 def test_matmul_associative_at_unit_scale():

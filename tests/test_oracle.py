@@ -9,9 +9,9 @@ import pytest
 import stokes_unfold as su
 from stokes_unfold import CompanionSystem, PerturbParams
 from stokes_unfold.errors import GuardError, PathError, SingularMatrixError, ToleranceError
+from stokes_unfold.mat3 import invertible_det3
 from stokes_unfold.oracle import (
     closed_loop_eigenvalues,
-    composed_loop_matrix,
     expected_log_flag,
     loop_around,
 )
@@ -106,8 +106,7 @@ def test_perturbed_companion_matrix(nu, sqrt_eps):
         a = system.matrix(x)
         # (Lambda x + Q)/(x^2 - eps), written out
         rational = np.diag([1, (nu - 2) * x + 2, (nu - 4) * x]) / (x * x - sqrt_eps**2)
-        for expected in (np.diag(su.coefficients_a(params, x)), rational):
-            assert np.allclose(a, expected + np.eye(3, k=1), rtol=1e-14, atol=0.0)
+        assert np.allclose(a, rational + np.eye(3, k=1), rtol=1e-14, atol=0.0)
     stack = system.matrix(np.array(OFF_AXIS_POINTS))
     assert stack.shape == (len(OFF_AXIS_POINTS), 3, 3)
     for j, x in enumerate(OFF_AXIS_POINTS):
@@ -216,10 +215,10 @@ def test_initial_matrix_must_be_invertible():
         su.integrate_path(system, polyline(0.0, 0.1), np.zeros((3, 3)))
 
 
-def test_initial_data_refused_exactly_where_inverse3_refuses():
+def test_initial_data_refused_exactly_where_invertible_det3_refuses():
     # a singular matrix nudged by delta in one entry (det = delta, threshold 1e-13 * 12^3 =
     # 1.728e-10 at scale 1), at every scale: the transport refuses its initial data by the
-    # same scale-aware determinant rule as inverse3
+    # scale-aware determinant rule of invertible_det3
     singular = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]], dtype=complex)
     nudge = np.zeros((3, 3), dtype=complex)
     nudge[1, 0] = 1.0
@@ -229,7 +228,7 @@ def test_initial_data_refused_exactly_where_inverse3_refuses():
         for delta in (0.0, 1e-14, 1e-12, 1e-10, 1.7e-10, 1.75e-10, 1e-9, 1e-6):
             y0 = scale * (singular + delta * nudge)
             try:
-                su.inverse3(y0)
+                invertible_det3(y0)
             except SingularMatrixError:
                 with pytest.raises(SingularMatrixError):
                     su.integrate_path(system, polyline(0.0, 0.5), y0)
@@ -266,17 +265,18 @@ def test_scalar_and_companion_routes_agree():
     scalar_end = su.integrate_path(ScalarCompanion(), path, np.eye(3), tol=1e-11)
 
     # initial data conversion: rows (y, L1 y, L2 L1 y) in terms of (y, y', y'')
+    system = CompanionSystem.perturbed(params)
+
     def conversion(x):
-        a1, a2, _ = su.coefficients_a(params, x)
+        a1, a2, _ = system.matrix(x).diagonal()
         h = 1e-6
-        a1p = (su.coefficients_a(params, x + h)[0] - su.coefficients_a(params, x - h)[0]) / (2 * h)
+        a1p = (system.matrix(x + h)[0, 0] - system.matrix(x - h)[0, 0]) / (2 * h)
         t = np.zeros((3, 3), dtype=complex)
         t[0, 0] = 1.0
         t[1] = [-a1, 1.0, 0.0]
         t[2] = [a2 * a1 - a1p, -(a1 + a2), 1.0]
         return t
 
-    system = CompanionSystem.perturbed(params)
     special_end = su.integrate_path(system, path, conversion(x0), tol=1e-11)
     # first row of both transports is y(x1) for the three basis solutions
     assert su.max_abs(special_end[0] - scalar_end[0]) <= 1e-8
@@ -336,7 +336,9 @@ def test_numerical_monodromy_no_log_when_d_vanishes():
 
 def test_composed_loops_match_infinity_relation():
     params = PerturbParams.from_resonant_index(0.5, 1)
-    m = composed_loop_matrix(params, tol=1e-10)
+    # continuation around gamma_R followed by gamma_L from the same base point
+    path = ContourPath([*loop_around(params, "R"), *loop_around(params, "L")])
+    m = su.integrate_path(CompanionSystem.perturbed(params), path, np.eye(3), tol=1e-10)
     st_l, st_r = su.unfolded_stokes(params)
     m_hat = su.formal_monodromy(params.nu)
     closed = np.linalg.eigvals(st_l @ st_r @ m_hat)
@@ -350,9 +352,8 @@ def test_stiffness_guard():
     params = PerturbParams.from_resonant_index(0.5, 50)
     with pytest.raises(GuardError):
         su.numerical_monodromy(params, "L")
-    # the composed loop refuses through the same guard, with the same message
     with pytest.raises(GuardError, match=r"1/sqrt\(eps\) = 12\.500 exceeds the stiffness guard 12"):
-        composed_loop_matrix(PerturbParams.from_resonant_index(0.5, 6))
+        su.numerical_monodromy(PerturbParams.from_resonant_index(0.5, 6), "R")
 
 
 def test_stiffness_guard_override():
@@ -420,7 +421,7 @@ def test_paths_geometry():
     assert arc.point(1.0) == pytest.approx(-1.0)
     assert arc.length == pytest.approx(math.pi)
     loop = circle(1.0, 0.5, angle_start=math.pi)
-    assert loop.start == pytest.approx(0.5)
+    assert loop.segments[0].point(0.0) == pytest.approx(0.5)
     assert loop.min_distance(1.0) == pytest.approx(0.5)
     assert loop.min_distance(1.6) == pytest.approx(0.1)
     seg = Line(0.0, 1.0)

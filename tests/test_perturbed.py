@@ -9,6 +9,7 @@ import pytest
 
 import stokes_unfold as su
 from stokes_unfold import (
+    CompanionSystem,
     OffDiagonal,
     PerturbParams,
     ResidueKind,
@@ -32,6 +33,11 @@ PHI12_HALF_N2_AT_05 = 0.0075640123246726374
 PHI13_HALF_N2_AT_M05 = 0.2786777516417034
 
 
+def coefficients_a(p, x):
+    """a_1, a_2, a_3 at x: the diagonal of the companion matrix the ODE oracle transports."""
+    return tuple(CompanionSystem.perturbed(p).matrix(x).diagonal())
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         PerturbParams(0.5, 1.5)
@@ -48,7 +54,7 @@ def test_coefficients_partial_fractions():
     p = PerturbParams(0.7, 0.2)
     s = p.sqrt_eps
     x = 0.37 + 0.11j
-    a1, a2, a3 = su.coefficients_a(p, x)
+    a1, a2, a3 = coefficients_a(p, x)
     h = 1.0 / (2.0 * s)
     assert a1 == pytest.approx(h * (1.0 / (x - s) - 1.0 / (x + s)), rel=1e-14)
     nu = 0.7
@@ -63,7 +69,7 @@ def test_coefficients_exponent_form_equivalence():
     p = PerturbParams(0.5, 0.2)
     x = 0.5j
     e = su.characteristic_exponents(p)
-    direct = su.coefficients_a(p, x)
+    direct = coefficients_a(p, x)
     from_exponents = tuple(
         (rho_r - k) / (x - p.x_R) + (rho_l - k) / (x - p.x_L)
         for k, (rho_r, rho_l) in enumerate(zip(e.rho_R, e.rho_L))
@@ -77,15 +83,16 @@ def test_coefficients_confluence_limit():
     # deviation eps/(x^2 (x^2 - eps)) -- about 1.23e-6 at x = 0.3, eps = 1e-8
     x = 0.3
     eps = 1e-8
-    a1 = su.coefficients_a(PerturbParams(1.3, 1e-4), x)[0]
+    a1 = coefficients_a(PerturbParams(1.3, 1e-4), x)[0]
     assert a1 == pytest.approx(1.0 / (x * x - eps), rel=1e-12)
     assert abs(a1 - 1.0 / x**2) <= 2e-6
 
 
 def test_coefficients_singularity_error():
     p = PerturbParams(0.5, 0.2)
-    with pytest.raises(SingularPointError):
-        su.coefficients_a(p, p.x_R)
+    for x_j in (p.x_L, p.x_R):
+        with pytest.raises(SingularPointError):
+            su.scalar_form_coefficients(p, x_j)
 
 
 def test_scalar_form_fuchs_pole_orders():
@@ -388,16 +395,19 @@ def test_monodromy_factor_commutation():
             assert su.max_abs(d @ u - u @ d) <= 1e-12
 
 
-def test_diagonal_exponentials_match_exp_diagonal_bytewise():
+def test_diagonal_exponentials_match_entrywise_exp_bytewise():
     # the diagonal factors exponentiate the (Lambda, Q) diagonals directly, with the
-    # same floating-point operations as mat3.exp_diagonal on the 3x3 matrices
+    # same floating-point operations as exp(scale D) taken entrywise on the 3x3 matrices
+    def exp_diagonal(a, scale):
+        return np.diag(np.exp(scale * np.diag(a)))
+
     for nu in (0.5, 2.0, 3.3, -1.25, 0.3 + 0.7j):
         lam, q = su.formal_data(nu).Lambda, su.formal_data(nu).Q
-        assert su.formal_monodromy(nu).tobytes() == su.exp_diagonal(lam, 2j * math.pi).tobytes()
+        assert su.formal_monodromy(nu).tobytes() == exp_diagonal(lam, 2j * math.pi).tobytes()
         for sqrt_eps in (0.05, 1 / 3, 0.9):
             p = PerturbParams(nu, sqrt_eps)
             for side, x_j in (("L", p.x_L), ("R", p.x_R)):
-                expected = su.exp_diagonal(lam + q / x_j, 1j * math.pi)
+                expected = exp_diagonal(lam + q / x_j, 1j * math.pi)
                 assert monodromy_exponent_factor(p, side).tobytes() == expected.tobytes()
 
 

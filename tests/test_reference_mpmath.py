@@ -139,3 +139,50 @@ def test_offdiag_phi13_past_the_overflow_of_phi1():
     for k, exact in ((0.1, 0.0106922542396534), (1.0, 0.0207778344425008)):
         value = su.offdiag_solution_quadrature(PerturbParams(0.5, s), -s - k * s, OffDiagonal.PHI13)
         assert value == pytest.approx(exact, rel=1e-12)
+
+
+def _borel_draws(seed, count):
+    """(nu, kind, zeta): nu in [-5, 5] + [-2, 2]i, |zeta| <= 3 and at least 1e-3 off the
+    cut; a third of the draws lie within 0.1 of the cut, on either side."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        nu = complex(rng.uniform(-5.0, 5.0), rng.uniform(-2.0, 2.0))
+        kind = (su.SeriesKind.PSI, su.SeriesKind.PHI)[rng.integers(2)]
+        if rng.random() < 1 / 3:  # w = 1 -+ zeta just above or below the cut w <= 0
+            w = complex(-rng.uniform(0.0, 2.0), (-1) ** rng.integers(2) * 10.0 ** rng.uniform(-3.0, -1.0))
+            zeta = 1.0 - w if kind is su.SeriesKind.PSI else w - 1.0
+        else:
+            zeta = 3.0 * math.sqrt(rng.random()) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+        w = 1.0 - zeta if kind is su.SeriesKind.PSI else 1.0 + zeta
+        if abs(zeta) <= 3.0 and (abs(w.imag) if w.real <= 0.0 else abs(w)) >= 1e-3:
+            out.append((nu, kind, zeta))
+    return out
+
+
+def test_borel_transform_value_within_1e13():
+    with mp.workdps(30):
+        for nu, kind, zeta in _borel_draws(2016, 1000):
+            w = 1 - mp.mpc(zeta) if kind is su.SeriesKind.PSI else 1 + mp.mpc(zeta)
+            exact = complex(mp.power(w, -mp.mpc(nu)))
+            assert abs(su.borel_transform_value(nu, kind, zeta) - exact) <= 1e-13 * abs(exact), (nu, kind, zeta)
+
+
+def test_stokes_matrix_entries_within_1e13():
+    # a quarter of the nu sit within 1e-2 of the zeros of 1/Gamma at 0, -1, ..., -19, and a
+    # quarter are real
+    rng = np.random.default_rng(2016)
+    with mp.workdps(30):
+        for j in range(1000):
+            if j % 4 == 0:
+                nu = float(-rng.integers(0, 20) + (-1) ** rng.integers(2) * 10.0 ** rng.uniform(-9.0, -2.0))
+            else:
+                nu = complex(rng.uniform(-20.0, 20.0), rng.uniform(-3.0, 3.0) if j % 4 != 1 else 0.0)
+            rg = mp.rgamma(mp.mpc(nu))
+            for direction, entry, exact in (
+                (su.Direction.ZERO, (0, 2), -1j * mp.pi * rg),
+                (su.Direction.PI, (0, 1), -2j * mp.pi * mp.expjpi(-mp.mpc(nu)) * rg),
+            ):
+                exact = complex(exact)
+                value = su.stokes_matrix(nu, direction)[entry]
+                assert abs(value - exact) <= 1e-13 * abs(exact), (nu, direction)

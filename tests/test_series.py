@@ -1,4 +1,4 @@
-"""Formal series: coefficients, Gevrey bounds, defining-equation residuals,
+"""Formal series: coefficients, Gevrey constants, defining-equation residuals,
 and the closed-form Borel transforms."""
 
 import cmath
@@ -28,28 +28,22 @@ def test_half_psi_coefficients():
 
 
 def test_coefficients_match_rising_factorials():
+    mp = pytest.importorskip("mpmath")
     rng = np.random.default_rng(3)
     for _ in range(20):
         nu = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
         psi = su.build_series(nu, SeriesKind.PSI, 12)
         phi = su.build_series(nu, SeriesKind.PHI, 12)
         for n in range(13):
-            rf = su.rising_factorial(nu, n)
+            with mp.workdps(30):
+                rf = complex(mp.rf(mp.mpc(nu), n))
             assert psi.coefficients[n] == pytest.approx(rf, abs=1e-12 * max(1, abs(rf)))
             assert phi.coefficients[n] == pytest.approx((-1) ** n * rf, abs=1e-12 * max(1, abs(rf)))
 
 
-def test_gevrey_constants_and_check():
+def test_gevrey_constants():
     assert su.gevrey_constants(0.5) == (1.0, 1.0)
     assert su.gevrey_constants(3.0) == (1.0, 4.0)
-    assert su.gevrey_bound_check(su.build_series(0.5, SeriesKind.PSI, 30))
-    assert su.gevrey_bound_check(su.build_series(3.0, SeriesKind.PHI, 30))
-    assert su.gevrey_bound_check(su.build_series(0.0, SeriesKind.PSI, 30))
-
-
-def test_gevrey_check_rejects_fast_growth():
-    fake = su.AsymptoticSeries(0.5, SeriesKind.PSI, tuple(2.0**n * math.factorial(n) for n in range(10)))
-    assert not su.gevrey_bound_check(fake)
 
 
 @pytest.mark.parametrize("nu,kind", [(0.5, SeriesKind.PSI), (1.0, SeriesKind.PHI), (1.75 + 0.5j, SeriesKind.PSI)])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import stokes_unfold as su
-from stokes_unfold import Direction, SeriesKind
+from stokes_unfold import Direction
 
 
 def test_formal_data_matrices():
@@ -16,18 +16,6 @@ def test_formal_data_matrices():
     assert np.allclose(np.diag(su.formal_data(2.0).Lambda), [0.0, 0.0, -2.0])
     assert np.allclose(np.diag(su.formal_data(4.0).Lambda), [0.0, 2.0, 0.0])
     assert np.allclose(np.diag(d.Q), [1.0, 2.0, 0.0])
-
-
-def test_h_hat_entries():
-    nu, x = 0.5, 0.07
-    h = su.formal_data(nu).h_hat(x, degree=40)
-    psi = su.build_series(nu, SeriesKind.PSI, 40).partial_sum(x)
-    phi = su.build_series(nu, SeriesKind.PHI, 40).partial_sum(x)
-    assert h[0, 1] == pytest.approx(x * x * phi, rel=1e-14)
-    assert h[0, 2] == pytest.approx(x**4 * psi / 2, rel=1e-14)
-    assert h[1, 2] == pytest.approx(-x * x / 2, rel=1e-15)
-    assert np.allclose(np.diag(h), [1, 1, 1], atol=0)
-    assert h[1, 0] == h[2, 0] == h[2, 1] == 0
 
 
 def test_formal_monodromy_values():
