@@ -262,6 +262,8 @@ def loop_around(params: PerturbParams, which: str) -> ContourPath:
 def closed_loop_eigenvalues(params: PerturbParams, which: str) -> tuple:
     """Eigenvalue multiset {e^{2 pi i rho_1}, e^{2 pi i (rho_2 - 1)},
     e^{2 pi i (rho_3 - 2)}} of the closed-form monodromy at side ``which``."""
+    if which not in ("L", "R"):
+        raise ValueError("which must be 'L' or 'R'")
     e = characteristic_exponents(params)
     rho = e.rho_R if which == "R" else e.rho_L
     return tuple(cmath.exp(2j * math.pi * (rho[k] - k)) for k in range(3))
@@ -289,6 +291,8 @@ def numerical_monodromy(params: PerturbParams, which: str, tol: float = 1e-9,
 
 def expected_log_flag(params: PerturbParams, which: str) -> bool:
     """Whether the closed forms predict a logarithm (d != 0) at this side."""
+    if which not in ("L", "R"):
+        raise ValueError("which must be 'L' or 'R'")
     res = residues(params)
     d = res.d_R3 if which == "R" else res.d_L2
     return abs(d) > 1e-12

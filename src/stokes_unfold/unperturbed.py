@@ -1,6 +1,6 @@
 """Closed-form analytic invariants of the unperturbed equation at the origin:
 formal data, formal monodromy, singular directions, Stokes matrices and the
-actual monodromy around 0.  The equation is (d/dx - a_1)(d/dx - a_2)(d/dx - a_3) y = 0
+actual monodromy around 0.  The equation is (d/dx - a_3)(d/dx - a_2)(d/dx - a_1) y = 0
 with x^2 a = Lambda x + Q, and ``exponent_diagonals`` is the one statement of (Lambda, Q).
 """
 

@@ -16,6 +16,7 @@ from stokes_unfold.oracle import (
     loop_around,
 )
 from stokes_unfold.paths import Arc, ContourPath, Line, circle, polyline
+from stokes_unfold.perturbed import monodromy_exponent_factor
 
 
 class FrozenSystem:
@@ -383,6 +384,15 @@ def test_unperturbed_monodromy_reports():
 def test_unperturbed_radius_bounds():
     with pytest.raises(ValueError):
         su.unperturbed_monodromy(0.5, radius=0.3)
+
+
+@pytest.mark.parametrize("side_fn", [closed_loop_eigenvalues, expected_log_flag, monodromy_exponent_factor],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("side", ["x", "l", "origin", ""])
+def test_side_names_other_than_l_and_r_are_refused(side_fn, side):
+    params = PerturbParams.from_resonant_index(0.5, 1)
+    with pytest.raises(ValueError, match="which must be 'L' or 'R'"):
+        side_fn(params, side)
 
 
 def test_base_point_independence():

@@ -140,6 +140,11 @@ def test_exponent_difference_identities():
     for _ in range(20):
         p = PerturbParams(rng.uniform(-4, 4), 1.0 / rng.uniform(1.5, 9.0))
         e = su.characteristic_exponents(p)
+        for rho, d21, d32, d31 in ((e.rho_R, e.delta_R21, e.delta_R32, e.delta_R31),
+                                   (e.rho_L, e.delta_L21, e.delta_L32, e.delta_L31)):
+            assert d21 == pytest.approx(rho[1] - rho[0], abs=1e-12)
+            assert d32 == pytest.approx(rho[2] - rho[1], abs=1e-12)
+            assert d31 == pytest.approx(rho[2] - rho[0], abs=1e-12)
         assert e.delta_R31 == pytest.approx(e.delta_L21, abs=1e-12)
         assert e.delta_L31 == pytest.approx(e.delta_R21, abs=1e-12)
         assert e.delta_L21 == pytest.approx(e.delta_R21 + e.delta_R32, abs=1e-12)
@@ -170,7 +175,7 @@ def test_indicial_roots_match_closed_exponents():
 
 
 def test_indicial_roots_exact_sweep():
-    # exact Laurent coefficients: roundoff accuracy, where limits by extrapolation missed by 1e-10
+    # exponents read off the factors: roundoff of the partial-fraction weights
     rng = np.random.default_rng(33)
     worst = 0.0
     for j in range(200):
@@ -181,7 +186,7 @@ def test_indicial_roots_exact_sweep():
                               (SingularPoint.INFINITY, e.rho_inf)):
             roots = su.indicial_roots(p, point)
             worst = max(worst, max(abs(r - t) for r, t in zip(roots, target)))
-    assert worst <= 1e-12
+    assert worst <= 1e-14
 
 
 def test_indicial_ordinary_point_error():
@@ -328,6 +333,23 @@ def test_residue_oracle_type_c():
     res = su.residues(p)
     assert su.residue_numeric_oracle(p, ResidueKind.L2) == pytest.approx(res.d_L2, rel=1e-9)
     assert su.residue_numeric_oracle(p, ResidueKind.R3) == pytest.approx(res.d_R3, rel=1e-9)
+
+
+def test_residue_oracle_accuracy_contract():
+    # the docstring bound: 1e-10 relative for n <= 5, 1e-7 for n <= 10, every admissible n
+    worst = {5: 0.0, 10: 0.0}
+    for nu in (0.5, 2.0, 3.3, 0.37, -0.5, 1.3, 2.71, 3.6):
+        for n in range(11):
+            if nu + 2 * n <= 1.0:
+                continue
+            p = PerturbParams.from_resonant_index(nu, n)
+            res = su.residues(p)
+            for kind, closed in ((ResidueKind.L2, res.d_L2), (ResidueKind.R3, res.d_R3)):
+                err = abs(su.residue_numeric_oracle(p, kind) - closed) / abs(closed)
+                band = 5 if n <= 5 else 10
+                worst[band] = max(worst[band], err)
+    assert worst[5] <= 1e-10
+    assert worst[10] <= 1e-7
 
 
 def test_integer_exponent_integrand_has_no_residue_at_other_point():
