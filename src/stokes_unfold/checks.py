@@ -241,6 +241,10 @@ def check_exponent_identities(rng):
         worst = max(worst, abs(e.delta_L31 - e.delta_R21))
         worst = max(worst, abs(e.delta_L21 - (e.delta_R21 + e.delta_R32)))
         worst = max(worst, abs(e.delta_L32 - 1.0 / p.sqrt_eps))
+        for rho, d21, d32, d31 in ((e.rho_R, e.delta_R21, e.delta_R32, e.delta_R31),
+                                   (e.rho_L, e.delta_L21, e.delta_L32, e.delta_L31)):
+            for delta, (i, j) in ((d21, (1, 0)), (d32, (2, 1)), (d31, (2, 0))):
+                worst = max(worst, abs(delta - (rho[i] - rho[j])))
         total = sum(e.rho_R) + sum(e.rho_L) + sum(e.rho_inf)
         worst = max(worst, abs(total - 3.0))
     return _bounded(worst, 1e-10)

@@ -136,11 +136,15 @@ def log_gamma_ratio(nu, n0: float, count: int) -> np.ndarray:
                 math.floor(2.0 * abs(nu) - nu.real / 2.0 - n0) + 1)
     z = np.arange(first, max(count, first + 1), dtype=float) + n0 + nu / 2.0
     coeffs = _midpoint_coefficients(nu)
-    t = 1.0 / z**2
-    log_r = coeffs[-1]
+    t = np.square(z)
+    np.divide(1.0, t, out=t)
+    # Horner steps log_r = (log_r + c) t without a new array per step; the product goes to
+    # a second buffer, because numpy rounds a one-row complex product into one of its
+    # inputs differently (as a reduction)
+    log_r, spare = coeffs[-1] * t, np.empty_like(t)
     for c in coeffs[-2::-1]:
-        log_r = log_r * t + c
-    log_r = log_r * t
+        log_r += c
+        log_r, spare = np.multiply(log_r, t, out=spare), log_r
     if first:
         k = np.arange(1, first + 1) + n0
         u = (nu - 1.0) / k

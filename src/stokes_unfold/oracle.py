@@ -100,9 +100,12 @@ def integrate_path(system: CompanionSystem, path: ContourPath, y0, tol: float = 
     nearest singularity (the segment length when there is none).  One ``system.matrix``
     call samples A on 64 points of the circle of radius 0.6 r_j about every centre, whose
     DFT gives A's Taylor coefficients there.  (m+1) Y_{m+1} = sum_l A_l Y_{m-l} then runs
-    for all steps at once until two consecutive terms fall below tol * max(1, |Phi_j|),
-    so ``tol`` bounds each step's truncation.  Each term is one broadcast product of
-    contiguous slices, (n, 3, 1, 3(m+1)) @ (n, 1, 3(m+1), 3) for n steps: row i of
+    for all steps at once until, for every step j, two consecutive terms fall below
+    tol * max(1, |Phi_j|), so ``tol`` bounds each step's truncation.  The rule is the
+    same for every step, but it is evaluated on one step first: the all-steps test runs
+    only after a term at which that step passed twice in a row, and a step that fails it
+    becomes the one watched.  Each term is one broadcast product of contiguous slices,
+    (n, 3, 1, 3(m+1)) @ (n, 1, 3(m+1), 3) for n steps, written into its slot: row i of
     t A_l t^l for l < 64 lies side by side in d[j, i, 0], and the terms Y_m t^m so far
     are stacked newest first at the end of terms[j, 0].  Raises SingularMatrixError when
     ``y0`` fails the determinant rule of ``invertible_det3``; ToleranceError, naming the segment,
@@ -133,23 +136,48 @@ def integrate_path(system: CompanionSystem, path: ContourPath, y0, tol: float = 
     d = np.ascontiguousarray(d.reshape(n, k, 3, 3).transpose(0, 2, 1, 3)).reshape(n, 3, 1, 3 * k)
     terms = np.empty((n, 1, 3 * (k + 1), 3), dtype=complex)
     terms[:, 0, 3 * k:] = np.eye(3)
-    phi = np.tile(np.eye(3, dtype=complex), (n, 1, 1))
-    small = np.zeros(n, dtype=int)
+    phis = np.empty((2, n, 3, 3), dtype=complex)  # Phi after term m in phis[m % 2]
+    phis[1] = np.eye(3)
+
+    def below(m):  # the rule after term m, per step
+        term = terms[:, 0, 3 * (k - m - 1):3 * (k - m)]
+        return np.abs(term).max(axis=(1, 2)) <= tol * np.maximum(1.0, np.abs(phis[m % 2]).max(axis=(1, 2)))
+
+    def first_open(now, prev):  # the first step not below after term m, else after m - 1
+        return int(np.argmin(now)) if not now.all() else int(np.argmin(prev))
+
+    # j is the watched step and ``failed`` the last term at which it failed the rule; the
+    # start -1 lets a stop come at m = 1 (tol >= 0.5 can stop there), never at m = 0
+    j, failed, cached = 0, -1, (-1, None)
     for m in range(k):
-        term = (d[..., :3 * (m + 1)] @ terms[..., 3 * (k - m):, :]).reshape(n, 3, 3) / (m + 1)
-        terms[:, 0, 3 * (k - m - 1):3 * (k - m)] = term
-        phi += term
-        below = np.abs(term).max(axis=(1, 2)) <= tol * np.maximum(1.0, np.abs(phi).max(axis=(1, 2)))
-        small = (small + 1) * below
-        if small.min() >= 2:
-            break
+        term = terms[:, 0, 3 * (k - m - 1):3 * (k - m)]
+        np.matmul(d[..., :3 * (m + 1)], terms[..., 3 * (k - m):, :], out=term[:, :, None])
+        term /= m + 1
+        phi = np.add(phis[(m + 1) % 2], term, out=phis[m % 2])
+        if not _maybe_below(term[j], phi[j], tol):
+            failed = m
+        elif failed < m - 1:
+            now = below(m)
+            prev = cached[1] if cached[0] == m - 1 else below(m - 1)
+            if now.all() and prev.all():
+                break
+            j = first_open(now, prev)
+            failed, cached = (m if not now[j] else m - 1), (m, now)
     else:
-        j = int(np.argmin(small))
+        j = first_open(below(k - 1), below(k - 2))
         raise ToleranceError(f"Taylor series about {c[j]:.6g} has not converged to tol = {tol:g} "
                              f"in {_CAUCHY_POINTS} terms on {segments[j]}")
     for step in phi:
         y = step @ y
     return y
+
+
+def _maybe_below(term, phi, tol: float) -> bool:
+    """Whether one step's term may be below tol * max(1, |Phi|), with CPython's abs; numpy's
+    complex abs differs from it by up to 2 ulp, so a relative slack of 1e-12 keeps this
+    from rejecting what the all-steps rule accepts."""
+    bound = tol * max(1.0, max(map(abs, phi.ravel().tolist())))
+    return max(map(abs, term.ravel().tolist())) <= (1.0 + 1e-12) * bound
 
 
 def _taylor_coefficients(system, c, rho, tol: float, segments) -> np.ndarray:

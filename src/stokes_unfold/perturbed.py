@@ -348,11 +348,24 @@ def log_resonant_d_range(nu, n_min: int, n_max: int) -> tuple[np.ndarray, np.nda
         deltas = abs(rg) * np.abs(np.expm1(log_r))
     else:
         # R real: Im log R is pi times the number of negative factors n + nu, so
-        # R = cos(Im log R) e^{Re log R} with the cosine exactly +-1
-        sign = np.cos(log_r.imag)
-        w = rg.real * sign * np.exp(log_r.real)
-        deltas = abs(rg.real) * np.abs(sign * np.expm1(log_r.real) + (sign - 1.0))
+        # R = cos(Im log R) e^{Re log R} with the cosine exactly +-1; as a factor +-1 moves
+        # no bit wherever it enters a product, and it is applied only on the rows where
+        # Im log R != 0, since elsewhere 1 x + 0 is x bit for bit.  Computing in place keeps
+        # fewer row-length arrays alive, which spares page faults on long tables
+        re = np.ascontiguousarray(log_r.real)  # log_r itself when it is float
+        w = np.exp(re)
+        w *= rg.real
+        em1 = np.expm1(re, out=re)
+        if np.iscomplexobj(log_r):
+            rows = np.flatnonzero(log_r.imag)
+            sign = np.cos(log_r.imag[rows])
+            w[rows] *= sign
+            em1[rows] = sign * em1[rows] + (sign - 1.0)
+        deltas = np.abs(em1, out=em1)
+        deltas *= abs(rg.real)
     phase = cmath.exp(1j * math.pi * (1.0 - nu))
+    # phase * w, not w * phase: numpy's complex product is not bitwise commutative; and
+    # -0.5 w is formed before the cast, as complex arithmetic would flip +0.0 imaginary parts
     return phase * w, np.asarray(-0.5 * w, dtype=complex), deltas
 
 

@@ -20,11 +20,9 @@ _MAX_DEPTH = 48  # bisections below a coarse panel before the estimate must hold
 _X, _W = np.polynomial.legendre.leggauss(_ORDER)
 
 
-def gl_panel(f, a, b):
-    """Gauss-Legendre panels on the straight segments from the endpoint arrays a to b,
-    from one call of f on the (m, _ORDER) node grid."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
+def gl_panel(f, mid, half):
+    """Gauss-Legendre panels with centres ``mid`` and half-lengths ``half`` (arrays of one
+    length m) on straight segments, from one call of f on the (m, _ORDER) node grid."""
     return half * (f(mid[:, None] + half[:, None] * _X) @ _W)
 
 
@@ -32,18 +30,22 @@ def integrate_chain(f, points, tol_abs: float) -> complex:
     """Adaptive integral along the polyline through ``points`` (Gander & Gautschi, BIT 40,
     2000): one call of f for the coarse panels, one per bisection for both halves.  A panel
     whose estimate still exceeds its budget after _MAX_DEPTH bisections raises
-    ToleranceError, so a tolerance below the rounding floor is refused, not walked."""
+    ToleranceError, so a tolerance below the rounding floor is refused, not walked.
+    Centres and half-lengths are 0.5 (a + b) and 0.5 (b - a) of each panel's ends, formed
+    on Python scalars for the two halves of a bisection."""
     pts = list(points)
     if len(pts) < 2:
         raise ValueError("need at least two points")
     budget = float(tol_abs) / (len(pts) - 1)
-    coarse = gl_panel(f, np.array(pts[:-1]), np.array(pts[1:])).tolist()
+    lo, hi = np.array(pts[:-1]), np.array(pts[1:])
+    coarse = gl_panel(f, 0.5 * (lo + hi), 0.5 * (hi - lo)).tolist()
     stack = [(a, b, c, budget, 0) for a, b, c in zip(pts, pts[1:], coarse)][::-1]
     total = 0j
     while stack:
         a0, b0, whole, tol0, depth = stack.pop()
         mid = 0.5 * (a0 + b0)
-        left, right = gl_panel(f, np.array([a0, mid]), np.array([mid, b0])).tolist()
+        left, right = gl_panel(f, np.array([0.5 * (a0 + mid), 0.5 * (mid + b0)]),
+                               np.array([0.5 * (mid - a0), 0.5 * (b0 - mid)])).tolist()
         err = abs(whole - left - right)
         if not math.isfinite(err):
             raise ToleranceError(f"integrand not finite on [{a0}, {b0}]")

@@ -1,5 +1,6 @@
 """Resonant sequences, limit targets, Gamma-ratio probe and the tables."""
 
+import cmath
 import math
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 
 import stokes_unfold as su
 from stokes_unfold import ResonanceClass
+from stokes_unfold.gammas import _midpoint_coefficients, log_gamma_ratio, reciprocal_gamma
+from stokes_unfold.perturbed import log_resonant_d_range
 
 
 def test_resonant_sequence_type_c():
@@ -200,3 +203,52 @@ def test_diagonal_factor_constancy_and_product():
         assert su.max_abs(d_l - target_l) <= 1e-10
         assert su.max_abs(d_r - target_r) <= 1e-10
         assert su.max_abs(d_l @ d_r - su.formal_monodromy(nu)) <= 1e-10
+
+
+def _plain_series(nu, n0, count):
+    """The midpoint series of log_gamma_ratio by plain Horner steps, log_r * t + c."""
+    z = np.arange(count, dtype=float) + n0 + nu / 2.0
+    coeffs = _midpoint_coefficients(nu)
+    t = 1.0 / z**2
+    log_r = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        log_r = log_r * t + c
+    return log_r * t
+
+
+def _plain_d_range(nu, n_min, n_max):
+    """log_resonant_d_range's formulas on every row as written: the cosine sign of R on
+    all rows of the real branch, and -0.5 w cast after the product."""
+    nu = complex(nu)
+    rg = reciprocal_gamma(nu)
+    log_r = log_gamma_ratio(nu, n_min, n_max - n_min + 1)
+    if nu.imag or nu.real + 2.0 * n_min <= 0.0:
+        w = rg * np.exp(log_r)
+        deltas = abs(rg) * np.abs(np.expm1(log_r))
+    else:
+        sign = np.cos(log_r.imag)
+        w = rg.real * sign * np.exp(log_r.real)
+        deltas = abs(rg.real) * np.abs(sign * np.expm1(log_r.real) + (sign - 1.0))
+    phase = cmath.exp(1j * math.pi * (1.0 - nu))
+    return phase * w, np.asarray(-0.5 * w, dtype=complex), deltas
+
+
+_REAL_NU = tuple(float(v) for v in np.random.default_rng(2718).uniform(-7.9, 8.0, 12))
+_PLAIN_NU = _REAL_NU + (-0.5, -3.7, 1.0, 2.0, 3.0, 1.0 + 1e-9, 2.0 - 1e-9, 0.7 + 0.3j, -1.5 + 2.0j, 2.0 - 0.5j)
+
+
+@pytest.mark.parametrize("nu", _PLAIN_NU)
+def test_series_rows_match_plain_horner(nu):
+    nu = nu.real if complex(nu).imag == 0.0 else complex(nu)
+    n0 = math.ceil(max(8.0, 2.0 * abs(nu) + 1.0) - nu.real / 2.0)  # every row a series row
+    for count in (1, 40, 3000):
+        ours, plain = log_gamma_ratio(nu, n0, count), _plain_series(nu, n0, count)
+        assert ours.dtype == plain.dtype and ours.tobytes() == plain.tobytes(), count
+
+
+@pytest.mark.parametrize("nu", _PLAIN_NU)
+def test_d_range_matches_plain_formulas(nu):
+    # head rows, negative factors n + nu and long series ranges alike, column by column
+    for n_min, n_max in ((4, 40), (5, 300), (10, 20000), (64, 64)):
+        for ours, plain in zip(log_resonant_d_range(nu, n_min, n_max), _plain_d_range(nu, n_min, n_max)):
+            assert ours.dtype == plain.dtype and ours.tobytes() == plain.tobytes(), (n_min, n_max)

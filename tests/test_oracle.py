@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import stokes_unfold as su
-from stokes_unfold import CompanionSystem, PerturbParams
+from stokes_unfold import CompanionSystem, PerturbParams, oracle
 from stokes_unfold.errors import GuardError, PathError, SingularMatrixError, ToleranceError
 from stokes_unfold.mat3 import invertible_det3
 from stokes_unfold.oracle import (
@@ -443,3 +443,66 @@ def test_paths_geometry():
         values = segment.point(s)
         assert values.shape == s.shape
         assert all(values[j] == segment.point(t) for j, t in enumerate(s.tolist()))
+
+
+def _all_steps_transport(system, path, y0, tol):
+    """integrate_path with its stopping rule evaluated for every step after every term:
+    the reference that the one-step-first evaluation must match bit for bit."""
+    y = np.array(y0, dtype=complex)
+    c, t, r, segments = oracle._steps(path, system.singularities())
+    rho = oracle._SAMPLE_RATIO * r
+    n, k = len(c), oracle._CAUCHY_POINTS
+    d = oracle._taylor_coefficients(system, c, rho, tol, segments)
+    d *= (t[:, None] * (t / rho)[:, None] ** oracle._POWERS)[:, :, None]
+    d = np.ascontiguousarray(d.reshape(n, k, 3, 3).transpose(0, 2, 1, 3)).reshape(n, 3, 1, 3 * k)
+    terms = np.empty((n, 1, 3 * (k + 1), 3), dtype=complex)
+    terms[:, 0, 3 * k:] = np.eye(3)
+    phi = np.tile(np.eye(3, dtype=complex), (n, 1, 1))
+    small = np.zeros(n, dtype=int)
+    for m in range(k):
+        term = (d[..., :3 * (m + 1)] @ terms[..., 3 * (k - m):, :]).reshape(n, 3, 3) / (m + 1)
+        terms[:, 0, 3 * (k - m - 1):3 * (k - m)] = term
+        phi += term
+        below = np.abs(term).max(axis=(1, 2)) <= tol * np.maximum(1.0, np.abs(phi).max(axis=(1, 2)))
+        small = (small + 1) * below
+        if small.min() >= 2:
+            break
+    else:
+        j = int(np.argmin(small))
+        raise ToleranceError(f"Taylor series about {c[j]:.6g} has not converged to tol = {tol:g} "
+                             f"in {k} terms on {segments[j]}")
+    for step in phi:
+        y = step @ y
+    return y
+
+
+def _reference_cases():
+    tols = (1e-8, 1e-9, 1e-10, 1e-11, 1e-12, 0.5, 10.0)
+    for nu, n in ((0.5, 2), (2.71, 1)):
+        params = PerturbParams.from_resonant_index(nu, n)
+        for which in ("L", "R"):
+            for tol in tols:
+                yield f"{which}-nu{nu}-n{n}-{tol:g}", CompanionSystem.perturbed(params), loop_around(params, which), tol
+    for tol in tols:
+        yield f"origin-{tol:g}", CompanionSystem.unperturbed(1.3), circle(0.0, 1.0), tol
+    zero = CompanionSystem(np.zeros(1, dtype=complex), np.array([1]), np.zeros((3, 1), dtype=complex), 1.0)
+    for tol in (1e-9, 0.5, 10.0):
+        yield f"zero-{tol:g}", zero, circle(0.0, 1.0), tol
+    for n in (8, 15):  # past the stiffness guard; n = 15 needs more terms than the cap
+        params = PerturbParams.from_resonant_index(0.5, n)
+        for which in ("L", "R"):
+            yield f"stiff-{which}-n{n}", CompanionSystem.perturbed(params), loop_around(params, which), 1e-9
+
+
+@pytest.mark.parametrize("system,path,tol", [case[1:] for case in _reference_cases()],
+                         ids=[case[0] for case in _reference_cases()])
+def test_transport_matches_the_all_steps_stopping_test(system, path, tol):
+    y0 = np.array([[1.0, 0.5j, 0.0], [0.0, 2.0, 0.25], [0.1, 0.0, 1.0]])
+    try:
+        expected = _all_steps_transport(system, path, y0, tol)
+    except ToleranceError as refusal:
+        with pytest.raises(ToleranceError) as raised:
+            su.integrate_path(system, path, y0, tol)
+        assert str(raised.value) == str(refusal)
+    else:
+        assert np.array_equal(su.integrate_path(system, path, y0, tol), expected)

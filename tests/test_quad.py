@@ -51,14 +51,14 @@ def test_chain_refuses_a_non_finite_integrand():
 
 def _panel(f, a, b):
     """One Gauss-Legendre panel from a to b."""
-    return quad.gl_panel(f, np.array([a]), np.array([b]))[0]
+    return quad.gl_panel(f, np.array([0.5 * (a + b)]), np.array([0.5 * (b - a)]))[0]
 
 
 def test_batched_panels_agree_with_single_panels():
     f = lambda s: np.exp((0.3 - 2.0j) * s) / (1.0 + s * s)
     a = np.array([0.0, 0.25, 1.0 + 1.0j, -2.0])
     b = np.array([0.25, 1.0 + 1.0j, 3.0, -1.5 + 0.1j])
-    batch = quad.gl_panel(f, a, b)
+    batch = quad.gl_panel(f, 0.5 * (a + b), 0.5 * (b - a))
     assert batch.shape == (4,)
     for value, lo, hi in zip(batch, a, b):
         single = _panel(f, lo, hi)
