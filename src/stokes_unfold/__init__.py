@@ -29,7 +29,6 @@ from .confluence import (
     fitted_rate,
     gamma_ratio_probe,
     limit_targets,
-    resonant_sequence,
 )
 from .errors import (
     BranchCutError,
@@ -63,7 +62,6 @@ from .perturbed import (
     OffDiagonal,
     PerturbParams,
     ResidueData,
-    ResidueKind,
     ResonanceClass,
     SingularPoint,
     characteristic_exponents,

@@ -273,6 +273,8 @@ def cmd_oracle(args) -> int:
 
 def cmd_check(args) -> int:
     results = run_checks(args.filter, seed=args.seed)
+    if not results:  # a mistyped filter would otherwise pass with no check run
+        build_parser().error(f"argument --filter: no property matches {args.filter!r}")
     payload = {
         "seed": args.seed,
         "filter": args.filter,
@@ -333,15 +335,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GuardError as exc:
-        _emit({"error": {"exit_code": EXIT_GUARD, "type": type(exc).__name__, "message": str(exc)}})
-        return EXIT_GUARD
-    except ToleranceError as exc:
-        _emit({"error": {"exit_code": EXIT_TOLERANCE, "type": type(exc).__name__, "message": str(exc)}})
-        return EXIT_TOLERANCE
     except (StokesUnfoldError, ValueError) as exc:
-        _emit({"error": {"exit_code": EXIT_REGIME, "type": type(exc).__name__, "message": str(exc)}})
-        return EXIT_REGIME
+        code = (EXIT_GUARD if isinstance(exc, GuardError)
+                else EXIT_TOLERANCE if isinstance(exc, ToleranceError) else EXIT_REGIME)
+        _emit({"error": {"exit_code": code, "type": type(exc).__name__, "message": str(exc)}})
+        return code
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Resonant parameter sequences and convergence tables: the unfolded Stokes
+"""Limit targets and convergence tables: the unfolded Stokes
 matrices exp(2 pi i T_j) against the Stokes matrices of the unperturbed
 equation, along 1/sqrt(eps) = nu + 2 n.
 """
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gammas import log_gamma_ratio, reciprocal_gamma
-from .perturbed import PerturbParams, log_resonant_d_range
+from .perturbed import log_resonant_d_range
 
 
 @dataclass(frozen=True)
@@ -29,15 +29,6 @@ class ConfluenceRow:
     err_R3: float
     stokes_err_L: float
     stokes_err_R: float
-
-
-def resonant_sequence(nu: float, n_min: int, n_max: int) -> list:
-    """Parameters with 1/(2 sqrt(eps)) - nu/2 = n exactly, n_min <= n <= n_max."""
-    if n_max < n_min:
-        raise ValueError("empty resonance index range")
-    if float(nu) + 2.0 * n_min <= 1.0:
-        raise ValueError(f"nu + 2 n_min = {float(nu) + 2.0 * n_min} must exceed 1")
-    return [PerturbParams.from_resonant_index(nu, n) for n in range(n_min, n_max + 1)]
 
 
 def limit_targets(nu) -> tuple[complex, complex]:
@@ -136,11 +127,15 @@ def confluence_table(nu: float, n_min: int, n_max: int) -> ConfluenceTable:
     Arrays of d_L2, d_R3 and delta = |d_L2 - d_L2(inf)| come from one vectorized
     pass.  The error columns are delta, delta/2, 2 pi delta and pi delta:
     exp(2 pi i T_j) differs from the Stokes matrix only by 2 pi i (d_j - d_j(inf))
-    in one entry, and |e^{i pi (1-nu)}| = 1."""
-    resonant_sequence(nu, n_min, n_min)  # validates the range start
+    in one entry, and |e^{i pi (1-nu)}| = 1.  ValueError unless nu is finite, n_min <= n_max
+    and 1/sqrt(eps) = nu + 2 n exceeds 1 on every row, i.e. at n_min."""
+    nu = float(nu)
+    if not math.isfinite(nu):
+        raise ValueError(f"nu must be finite, got {nu}")
+    if nu + 2.0 * n_min <= 1.0:
+        raise ValueError(f"nu + 2 n_min = {nu + 2.0 * n_min} must exceed 1")
     if n_max < n_min:
         raise ValueError("empty resonance index range")
-    nu = float(nu)
     n = np.arange(n_min, n_max + 1)
     d_l2, d_r3, deltas = log_resonant_d_range(nu, n_min, n_max)
     return ConfluenceTable(n, 1.0 / (nu + 2.0 * n), d_l2, d_r3, deltas)

@@ -22,6 +22,7 @@ from .perturbed import (
     PerturbParams,
     ResonanceClass,
     _partial_fraction_weights,
+    _side_column,
     characteristic_exponents,
     classify_resonance,
     residues,
@@ -258,9 +259,10 @@ def detect_log_structure(m, closed_eigenvalues) -> bool:
     return False
 
 
-def _build_report(m, closed, det_closed) -> MonodromyReport:
+def _build_report(m, closed) -> MonodromyReport:
     numeric = tuple(np.linalg.eigvals(m))
     err_eig, ordered = _match_eigenvalues(numeric, closed)
+    det_closed = closed[0] * closed[1] * closed[2]
     err_det = abs(np.linalg.det(m) - det_closed) / max(1.0, abs(det_closed))
     return MonodromyReport(
         M_numeric=m,
@@ -271,29 +273,18 @@ def _build_report(m, closed, det_closed) -> MonodromyReport:
     )
 
 
-def _stiffness_guard(params: PerturbParams, allow_stiff: bool) -> None:
-    if 1.0 / params.sqrt_eps > STIFFNESS_LIMIT and not allow_stiff:
-        raise GuardError(f"1/sqrt(eps) = {1.0 / params.sqrt_eps:.3f} exceeds the stiffness guard {STIFFNESS_LIMIT}")
-
-
 def loop_around(params: PerturbParams, which: str) -> ContourPath:
     """The standard loops based at x0 = 0: a circle of radius sqrt(eps)
     around x_R starting at angle pi, or around x_L starting at angle 0."""
-    s = params.sqrt_eps
-    if which == "R":
-        return circle(params.x_R, s, angle_start=math.pi)
-    if which == "L":
-        return circle(params.x_L, s, angle_start=0.0)
-    raise ValueError("which must be 'L' or 'R'")
+    centre, start = ((params.x_R, math.pi), (params.x_L, 0.0))[_side_column(which)]
+    return circle(centre, params.sqrt_eps, angle_start=start)
 
 
 def closed_loop_eigenvalues(params: PerturbParams, which: str) -> tuple:
     """Eigenvalue multiset {e^{2 pi i rho_1}, e^{2 pi i (rho_2 - 1)},
     e^{2 pi i (rho_3 - 2)}} of the closed-form monodromy at side ``which``."""
-    if which not in ("L", "R"):
-        raise ValueError("which must be 'L' or 'R'")
     e = characteristic_exponents(params)
-    rho = e.rho_R if which == "R" else e.rho_L
+    rho = (e.rho_R, e.rho_L)[_side_column(which)]
     return tuple(cmath.exp(2j * math.pi * (rho[k] - k)) for k in range(3))
 
 
@@ -306,24 +297,21 @@ def numerical_monodromy(params: PerturbParams, which: str, tol: float = 1e-9,
     exponents drive the dynamic range on the loop past what double
     precision tracks reliably.
     """
-    _stiffness_guard(params, allow_stiff)
+    if 1.0 / params.sqrt_eps > STIFFNESS_LIMIT and not allow_stiff:
+        raise GuardError(f"1/sqrt(eps) = {1.0 / params.sqrt_eps:.3f} exceeds the stiffness guard {STIFFNESS_LIMIT}")
     cls = classify_resonance(params)
     if cls not in (ResonanceClass.B, ResonanceClass.C):
         raise ResonanceError(f"closed-form comparison needs class B or C, got {cls.value}")
     system = CompanionSystem.perturbed(params)
     m = integrate_path(system, loop_around(params, which), identity3(), tol)
-    closed = closed_loop_eigenvalues(params, which)
-    det_closed = closed[0] * closed[1] * closed[2]
-    return _build_report(m, closed, det_closed)
+    return _build_report(m, closed_loop_eigenvalues(params, which))
 
 
 def expected_log_flag(params: PerturbParams, which: str) -> bool:
     """Whether the closed forms predict a logarithm (d != 0) at this side."""
-    if which not in ("L", "R"):
-        raise ValueError("which must be 'L' or 'R'")
+    j = _side_column(which)  # first, so that a bad side is refused on any params
     res = residues(params)
-    d = res.d_R3 if which == "R" else res.d_L2
-    return abs(d) > 1e-12
+    return abs((res.d_R3, res.d_L2)[j]) > 1e-12
 
 
 def unperturbed_monodromy(nu, radius: float = 1.0, tol: float = 1e-9) -> MonodromyReport:
@@ -333,7 +321,5 @@ def unperturbed_monodromy(nu, radius: float = 1.0, tol: float = 1e-9) -> Monodro
         raise ValueError("radius must lie in [0.5, 2]")
     system = CompanionSystem.unperturbed(nu)
     m = integrate_path(system, circle(0.0, radius), identity3(), tol)
-    m0 = monodromy_origin(nu)
-    closed = tuple(np.diag(m0))  # triangular, eigenvalues on the diagonal
-    det_closed = closed[0] * closed[1] * closed[2]
-    return _build_report(m, closed, det_closed)
+    # the closed-form monodromy is triangular, with its eigenvalues on the diagonal
+    return _build_report(m, tuple(np.diag(monodromy_origin(nu))))

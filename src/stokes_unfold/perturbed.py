@@ -59,11 +59,6 @@ class OffDiagonal(Enum):
     PHI13 = "phi13"
 
 
-class ResidueKind(Enum):
-    L2 = "L2"
-    R3 = "R3"
-
-
 @dataclass(frozen=True)
 class PerturbParams:
     """Parameter pair (nu, sqrt(eps)) with 0 < sqrt(eps) < 1."""
@@ -372,13 +367,10 @@ def log_resonant_d_range(nu, n_min: int, n_max: int) -> tuple[np.ndarray, np.nda
 def residues(params: PerturbParams) -> ResidueData:
     """Residue data (d values and the nilpotent matrices T_L, T_R).
 
-    Only the logarithmic-resonance classes B and C carry residue closed
-    forms; class D and the other patterns produce no logarithmic terms
-    and raise ResonanceError.
+    ResonanceError from ``resonance_index`` unless n = 1/(2 sqrt(eps)) - nu/2 is a
+    non-negative integer: integral n is exactly classes B and C, the logarithmic
+    resonances; class D and the other patterns produce no logarithmic terms.
     """
-    cls = classify_resonance(params)
-    if cls not in (ResonanceClass.B, ResonanceClass.C):
-        raise ResonanceError(f"no logarithmic residue data in resonance class {cls.value}")
     n = resonance_index(params)
     d_l2, d_r3 = log_resonant_d_values(params.nu, n)
     t_l = np.zeros((3, 3), dtype=complex)
@@ -388,24 +380,29 @@ def residues(params: PerturbParams) -> ResidueData:
     return ResidueData(d_L2=d_l2, d_R3=d_r3, T_L=t_l, T_R=t_r)
 
 
-def residue_numeric_oracle(params: PerturbParams, which: ResidueKind) -> complex:
-    """Contour-integral evaluation of the residue coefficients.
+def _side_column(which: str) -> int:
+    """The column of side "R" (0) or "L" (1) in the (w_R, w_L) weight pairs."""
+    if which not in ("L", "R"):
+        raise ValueError("which must be 'L' or 'R'")
+    return 0 if which == "R" else 1
 
-    Trapezoid rule with 4096 points on a circle of radius sqrt(eps)/2 around the
-    relevant singular point.  The pole factor has the integer exponent n+1 and winds
-    harmlessly; the other factor keeps a positive real part on the circle, so it is a
-    principal power: (x + sqrt(eps))^p for R3, and e^{-i pi p} (sqrt(eps) - x)^p for L2,
-    i.e. arg(x - sqrt(eps)) = -pi on the negative real axis, as the Gamma closed forms need.
 
-    Accuracy, against 30-digit closed forms for both kinds and nu in {1/2, 2, 3.3, 0.37,
+def residue_numeric_oracle(params: PerturbParams, which: str) -> complex:
+    """Contour-integral evaluation of d_L2 (``which`` "L") or d_R3 (``which`` "R").
+
+    Gated as ``residues`` is.  Trapezoid rule with 4096 points on a circle of radius
+    sqrt(eps)/2 around the side's singular point.  The pole factor has the integer exponent
+    n+1 and winds harmlessly; the other factor keeps a positive real part on the circle, so
+    it is a principal power: (x + sqrt(eps))^p for R3, and e^{-i pi p} (sqrt(eps) - x)^p for
+    L2, i.e. arg(x - sqrt(eps)) = -pi on the negative real axis, as the closed forms need.
+
+    Accuracy, against 30-digit closed forms for both sides and nu in {1/2, 2, 3.3, 0.37,
     -0.5, 1.3, 2.71, 3.6}: within 1e-10 relative for n <= 5 and 1e-7 for n <= 10
     (measured 2.5e-12 and 1.8e-8).  The error is roundoff on the circle; past n ~ 10 it
     grows about tenfold per index (2.7e-7 at n = 11, 2.1e-4 at n = 15, above 1 at n = 20),
     and nothing is raised.
     """
-    cls = classify_resonance(params)
-    if cls not in (ResonanceClass.B, ResonanceClass.C):
-        raise ResonanceError(f"no residue oracle in resonance class {cls.value}")
+    left = _side_column(which) == 1
     n = resonance_index(params)
     s = params.sqrt_eps
     z = 1.0 / (2.0 * s)
@@ -413,12 +410,7 @@ def residue_numeric_oracle(params: PerturbParams, which: ResidueKind) -> complex
     r = s / 2.0
     phi = 2.0 * math.pi * np.arange(_RESIDUE_NODES) / _RESIDUE_NODES
     u = r * np.exp(1j * phi)  # x - x_j on the circle
-    if which is ResidueKind.L2:
-        sign, prefactor = -1.0, cmath.exp(-1j * math.pi * p)
-    elif which is ResidueKind.R3:
-        sign, prefactor = 1.0, -0.5
-    else:
-        raise ValueError(f"unknown residue kind {which!r}")
+    sign, prefactor = (-1.0, cmath.exp(-1j * math.pi * p)) if left else (1.0, -0.5)
     outer = (2.0 * s + sign * u) ** p  # sqrt(eps) - x for L2, x + sqrt(eps) for R3
     total = (r / _RESIDUE_NODES) * np.sum(outer * u ** (-(n + 1)) * np.exp(1j * phi))
     return prefactor * complex(total)
@@ -426,9 +418,7 @@ def residue_numeric_oracle(params: PerturbParams, which: ResidueKind) -> complex
 
 def monodromy_exponent_factor(params: PerturbParams, side: str) -> np.ndarray:
     """Diagonal factor diag(exp(2 pi i w_k)) of the weights w_k at x_j for side "L" or "R"."""
-    if side not in ("L", "R"):
-        raise ValueError("which must be 'L' or 'R'")
-    j = 0 if side == "R" else 1
+    j = _side_column(side)
     return np.diag(np.exp(2j * math.pi * np.array([pair[j] for pair in _partial_fraction_weights(params)])))
 
 

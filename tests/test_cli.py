@@ -329,6 +329,16 @@ def test_check_filter_and_determinism(capsys):
     assert out1 == out2
 
 
+def test_check_filter_matching_nothing_is_an_argument_error(capsys):
+    # a mistyped filter runs no property, so it is refused rather than reported as a pass
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--filter", "nosuchcheck"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --filter: no property matches 'nosuchcheck'" in captured.err
+
+
 def test_check_reports_known_rate_defect(capsys, monkeypatch):
     # the second-order rate window passes on the program as it is ...
     code, rec = run_json(capsys, "check", "--filter", "confluence_convergence")

@@ -13,22 +13,22 @@ from stokes_unfold.perturbed import log_resonant_d_range
 
 
 def test_resonant_sequence_type_c():
-    seq = su.resonant_sequence(0.5, 1, 3)
+    seq = [su.PerturbParams.from_resonant_index(0.5, n) for n in (1, 2, 3)]
     assert [1.0 / p.sqrt_eps for p in seq] == pytest.approx([2.5, 4.5, 6.5])
     assert all(su.classify_resonance(p) is ResonanceClass.C for p in seq)
 
 
 def test_resonant_sequence_type_b():
-    seq = su.resonant_sequence(2.0, 1, 3)
+    seq = [su.PerturbParams.from_resonant_index(2.0, n) for n in (1, 2, 3)]
     assert [1.0 / p.sqrt_eps for p in seq] == pytest.approx([4.0, 6.0, 8.0])
     assert all(su.classify_resonance(p) is ResonanceClass.B for p in seq)
 
 
 def test_resonant_sequence_range_errors():
     with pytest.raises(ValueError):
-        su.resonant_sequence(0.9, 0, 3)  # nu + 0 <= 1
+        su.confluence_table(0.9, 0, 3)  # nu + 0 <= 1
     with pytest.raises(ValueError):
-        su.resonant_sequence(0.5, 3, 1)
+        su.confluence_table(0.5, 3, 1)
 
 
 def test_limit_targets():

@@ -16,7 +16,7 @@ from stokes_unfold.oracle import (
     loop_around,
 )
 from stokes_unfold.paths import Arc, ContourPath, Line, circle, polyline
-from stokes_unfold.perturbed import monodromy_exponent_factor
+from stokes_unfold.perturbed import monodromy_exponent_factor, residue_numeric_oracle
 
 
 class FrozenSystem:
@@ -386,7 +386,8 @@ def test_unperturbed_radius_bounds():
         su.unperturbed_monodromy(0.5, radius=0.3)
 
 
-@pytest.mark.parametrize("side_fn", [closed_loop_eigenvalues, expected_log_flag, monodromy_exponent_factor],
+@pytest.mark.parametrize("side_fn", [closed_loop_eigenvalues, expected_log_flag, monodromy_exponent_factor,
+                                     residue_numeric_oracle, loop_around, su.numerical_monodromy],
                          ids=lambda f: f.__name__)
 @pytest.mark.parametrize("side", ["x", "l", "origin", ""])
 def test_side_names_other_than_l_and_r_are_refused(side_fn, side):

@@ -12,7 +12,6 @@ from stokes_unfold import (
     CompanionSystem,
     OffDiagonal,
     PerturbParams,
-    ResidueKind,
     ResonanceClass,
     SeriesKind,
     SingularPoint,
@@ -211,7 +210,7 @@ def test_odd_integer_nu_on_resonant_sequence_is_type_b():
     assert su.classify_resonance(p) is ResonanceClass.B
     res = su.residues(p)
     assert res.d_L2 == pytest.approx(1.0, abs=1e-13)
-    assert su.residue_numeric_oracle(p, ResidueKind.L2) == pytest.approx(1.0, abs=1e-10)
+    assert su.residue_numeric_oracle(p, "L") == pytest.approx(1.0, abs=1e-10)
     lim_l2, _ = su.limit_targets(1.0)
     assert lim_l2 == pytest.approx(1.0, abs=1e-14)
 
@@ -322,17 +321,57 @@ def test_residues_rejected_outside_implemented_classes():
         su.residues(PerturbParams.from_resonant_index(-3.0, 3))  # below the derived branch
 
 
+def test_residue_gate_is_the_resonance_index():
+    # seeded points of every class, negative indices included: the residues and the
+    # contour oracle refuse exactly where resonance_index does, and what it accepts is
+    # class B or C (integer nu <= 0, whose closed forms need n >= 1 - nu, is not drawn)
+    rng = np.random.default_rng(19)
+    draws = []
+    for _ in range(40):
+        n = int(rng.integers(-4, 8))
+        nu_int = float(rng.integers(1, 12))
+        nu_frac = nu_int - 4.0 + rng.uniform(0.05, 0.95)
+        draws += [PerturbParams.from_resonant_index(nu, n) for nu in (nu_int, nu_frac) if nu + 2 * n > 1.0]
+        m = math.ceil((nu_frac + 1.0) / 2.0) + int(rng.integers(0, 4))
+        draws.append(PerturbParams(nu_frac, 1.0 / (2 * m - nu_frac)))  # D: only delta_R21 = m integral
+        draws.append(PerturbParams(nu_frac, 1.0 / int(rng.integers(2, 12))))  # other-resonant
+        draws.append(PerturbParams(complex(rng.uniform(-3, 8), rng.uniform(-1, 1)), rng.uniform(0.05, 0.95)))
+    seen, negative = set(), 0
+    for p in draws:
+        cls = su.classify_resonance(p)
+        seen.add(cls)
+        try:
+            resonance_index(p)
+        except ResonanceError:
+            negative += cls in (ResonanceClass.B, ResonanceClass.C)
+            for call in (su.residues, lambda q: su.residue_numeric_oracle(q, "L"),
+                         lambda q: su.residue_numeric_oracle(q, "R")):
+                with pytest.raises(ResonanceError):
+                    call(p)
+            continue
+        assert cls in (ResonanceClass.B, ResonanceClass.C)
+        su.residues(p)
+        su.residue_numeric_oracle(p, "L")
+        su.residue_numeric_oracle(p, "R")
+    assert seen == set(ResonanceClass) and negative > 0
+    # the oracle's own class gate still lets a class-B point with index -1 through
+    assert su.numerical_monodromy(PerturbParams(5.0, 1.0 / 3.0), "L").M_numeric.shape == (3, 3)
+    for nu in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            su.confluence_table(nu, 1, 5)
+
+
 def test_residue_oracle_nu2():
     p = PerturbParams.from_resonant_index(2.0, 1)
-    assert su.residue_numeric_oracle(p, ResidueKind.L2) == pytest.approx(-1.0, abs=1e-10)
-    assert su.residue_numeric_oracle(p, ResidueKind.R3) == pytest.approx(-0.5, abs=1e-10)
+    assert su.residue_numeric_oracle(p, "L") == pytest.approx(-1.0, abs=1e-10)
+    assert su.residue_numeric_oracle(p, "R") == pytest.approx(-0.5, abs=1e-10)
 
 
 def test_residue_oracle_type_c():
     p = PerturbParams.from_resonant_index(0.5, 2)
     res = su.residues(p)
-    assert su.residue_numeric_oracle(p, ResidueKind.L2) == pytest.approx(res.d_L2, rel=1e-9)
-    assert su.residue_numeric_oracle(p, ResidueKind.R3) == pytest.approx(res.d_R3, rel=1e-9)
+    assert su.residue_numeric_oracle(p, "L") == pytest.approx(res.d_L2, rel=1e-9)
+    assert su.residue_numeric_oracle(p, "R") == pytest.approx(res.d_R3, rel=1e-9)
 
 
 def test_residue_oracle_accuracy_contract():
@@ -344,7 +383,7 @@ def test_residue_oracle_accuracy_contract():
                 continue
             p = PerturbParams.from_resonant_index(nu, n)
             res = su.residues(p)
-            for kind, closed in ((ResidueKind.L2, res.d_L2), (ResidueKind.R3, res.d_R3)):
+            for kind, closed in (("L", res.d_L2), ("R", res.d_R3)):
                 err = abs(su.residue_numeric_oracle(p, kind) - closed) / abs(closed)
                 band = 5 if n <= 5 else 10
                 worst[band] = max(worst[band], err)
