@@ -15,16 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GuardError, PathError, ResonanceError, ToleranceError
+from .errors import GuardError, PathError, ToleranceError
 from .mat3 import as_matrix3, identity3, invertible_det3, max_abs
 from .paths import ContourPath, circle
 from .perturbed import (
     PerturbParams,
-    ResonanceClass,
     _partial_fraction_weights,
     _side_column,
     characteristic_exponents,
-    classify_resonance,
+    resonance_index,
     residues,
 )
 from .unperturbed import exponent_diagonals, monodromy_origin
@@ -109,21 +108,17 @@ def integrate_path(system: CompanionSystem, path: ContourPath, y0, tol: float = 
     (n, 3, 1, 3(m+1)) @ (n, 1, 3(m+1), 3) for n steps, written into its slot: row i of
     t A_l t^l for l < 64 lies side by side in d[j, i, 0], and the terms Y_m t^m so far
     are stacked newest first at the end of terms[j, 0].  Raises SingularMatrixError when
-    ``y0`` fails the determinant rule of ``invertible_det3``; ToleranceError, naming the segment,
-    when the last two coefficients on a circle exceed tol relative to the largest sample
-    (a singularity inside it) or when a series has not converged by 64 terms; ValueError
-    unless tol > 0.
+    ``y0`` fails the determinant rule of ``invertible_det3``; PathError by the clearance
+    rule of ``_steps`` (a path of zero length returns ``y0``); ToleranceError, naming the
+    segment, when the last two coefficients on a circle exceed tol relative to the largest
+    sample (a singularity inside it) or when a series has not converged by 64 terms;
+    ValueError unless tol > 0.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     y = as_matrix3(y0).astype(complex)
     invertible_det3(y)  # rejects non-invertible initial data
-    singular = system.singularities()
-    clearance = system.clearance()
-    for sing in singular:
-        if path.min_distance(sing) <= clearance:  # a step needs r > 0
-            raise PathError(f"path passes within {path.min_distance(sing):.3e} of the singular point {sing}")
-    c, t, r, segments = _steps(path, singular)
+    c, t, r, segments = _steps(path, system.singularities(), system.clearance())
     if not segments:  # a path of zero length
         return y
     rho = _SAMPLE_RATIO * r
@@ -196,9 +191,12 @@ def _taylor_coefficients(system, c, rho, tol: float, segments) -> np.ndarray:
     return coeffs
 
 
-def _steps(path: ContourPath, singular) -> tuple:
+def _steps(path: ContourPath, singular, clearance: float) -> tuple:
     """Arrays of the centres c_j, steps t_j and radii r_j, and the segment of each step;
-    each step runs an arc length 0.3 r_j on from its centre."""
+    each step runs an arc length 0.3 r_j on from its centre.  PathError at a centre within
+    ``clearance`` of a singular point: accepted steps keep more than 0.7 clearance away, so a
+    path is refused somewhere within [0.7, 1] clearance, and one through a singular point
+    after finitely many steps, as r_j shrinks at least 0.7-fold per step toward it."""
     centres, ends, radii, segments = [], [], [], []
     for segment in path:
         length = segment.length
@@ -206,6 +204,9 @@ def _steps(path: ContourPath, singular) -> tuple:
         x = complex(segment.point(0.0))
         while length and s < 1.0:
             r = min((abs(x - p) for p in singular), default=length)
+            if r <= clearance and singular:
+                near = min(singular, key=lambda p: abs(x - p))
+                raise PathError(f"path passes within {r:.3e} of the singular point {near}")
             s = min(1.0, s + _STEP_RATIO * r / length)
             centres.append(x)
             x = complex(segment.point(s))
@@ -295,13 +296,12 @@ def numerical_monodromy(params: PerturbParams, which: str, tol: float = 1e-9,
 
     Refuses 1/sqrt(eps) > 12 unless ``allow_stiff``: beyond that the local
     exponents drive the dynamic range on the loop past what double
-    precision tracks reliably.
+    precision tracks reliably.  Then, before any transport, gated as
+    ``residues`` is: ResonanceError unless ``resonance_index`` holds.
     """
     if 1.0 / params.sqrt_eps > STIFFNESS_LIMIT and not allow_stiff:
         raise GuardError(f"1/sqrt(eps) = {1.0 / params.sqrt_eps:.3f} exceeds the stiffness guard {STIFFNESS_LIMIT}")
-    cls = classify_resonance(params)
-    if cls not in (ResonanceClass.B, ResonanceClass.C):
-        raise ResonanceError(f"closed-form comparison needs class B or C, got {cls.value}")
+    resonance_index(params)
     system = CompanionSystem.perturbed(params)
     m = integrate_path(system, loop_around(params, which), identity3(), tol)
     return _build_report(m, closed_loop_eigenvalues(params, which))

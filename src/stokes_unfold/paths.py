@@ -6,7 +6,6 @@ floats, and returns a complex of the same shape.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -30,14 +29,6 @@ class Line:
     def point(self, s):
         return self.start + s * (self.end - self.start)
 
-    def min_distance(self, z: complex) -> float:
-        d = self.end - self.start
-        if d == 0:
-            return abs(z - self.start)
-        t = ((z - self.start) * d.conjugate()).real / abs(d) ** 2
-        t = min(1.0, max(0.0, t))
-        return abs(z - self.point(t))
-
 
 @dataclass(frozen=True)
 class Arc:
@@ -58,19 +49,6 @@ class Arc:
     def point(self, s):
         return self.center + self.radius * np.exp(1j * self._angle(s))
 
-    def min_distance(self, z: complex) -> float:
-        rho = abs(z - self.center)
-        lo = min(self.angle_start, self.angle_end)
-        hi = max(self.angle_start, self.angle_end)
-        if hi - lo >= _TWO_PI - 1e-12:
-            return abs(rho - self.radius)
-        phi = cmath.phase(z - self.center)
-        k = math.floor((lo - phi) / _TWO_PI)
-        for j in (k, k + 1, k + 2):
-            if lo - 1e-12 <= phi + _TWO_PI * j <= hi + 1e-12:
-                return abs(rho - self.radius)
-        return min(abs(z - self.point(0.0)), abs(z - self.point(1.0)))
-
 
 class ContourPath:
     """Ordered chain of segments whose endpoints match to 1e-12."""
@@ -86,9 +64,6 @@ class ContourPath:
 
     def __iter__(self):
         return iter(self.segments)
-
-    def min_distance(self, z: complex) -> float:
-        return min(s.min_distance(complex(z)) for s in self.segments)
 
     def reversed(self) -> "ContourPath":
         out = []

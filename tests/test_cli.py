@@ -123,6 +123,14 @@ def test_perturbed_odd_integer_nu_succeeds_as_type_b(capsys):
     assert as_complex(rec["payload"]["d_L2"]) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_perturbed_serves_large_indices(capsys):
+    # a large index is served, not refused for the roundoff of exp(2 pi i w), |w| ~ 2n
+    code, rec = run_json(capsys, "perturbed", "--nu", "0.5", "--n", "1000")
+    assert code == 0
+    assert rec["payload"]["resonance_class"] == "C"
+    assert rec["payload"]["infinity_relation_residual"] <= 3e-14 * 1000
+
+
 def test_perturbed_invalid_regime_exit_code(capsys):
     code, rec = run_json(capsys, "perturbed", "--nu", "-3", "--n", "3")
     assert code == 3

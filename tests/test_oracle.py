@@ -205,8 +205,20 @@ def test_contractible_loop_is_identity():
 def test_path_clearance_precondition():
     params = PerturbParams(0.5, 0.25)
     system = CompanionSystem.perturbed(params)
-    with pytest.raises(PathError):
-        su.integrate_path(system, polyline(0.0, 0.25), np.eye(3))
+    x_r, c = params.x_R, system.clearance()
+    # refused somewhere within [0.7, 1] clearance: a path ending on x_R, one passing it at
+    # 0.5 clearance and a circle through it, each after finitely many steps
+    for path in (polyline(0.0, x_r), polyline(0.1 + 0.5j * c, 0.4 + 0.5j * c), circle(x_r + 0.1, 0.1)):
+        with pytest.raises(PathError, match=r"of the singular point \(0\.25\+0j\)"):
+            su.integrate_path(system, path, np.eye(3))
+    # a path passing at 3 clearance is transported, as the homotopic one that keeps away;
+    # the weight -1.75 at x_R amplifies the step truncation there (6.7e-7 at tol 1e-13)
+    near = su.integrate_path(system, polyline(0.1, x_r + 3j * c, 0.4), np.eye(3), tol=1e-13)
+    far = su.integrate_path(system, polyline(0.1, x_r + 0.1j, 0.4), np.eye(3), tol=1e-13)
+    assert su.max_abs(near - far) <= 1e-5 * su.max_abs(far)
+    # no step evaluates A on a path of zero length, so one on a singular point returns y0
+    y0 = np.array([[1.0, 0.5j, 0.0], [0.0, 2.0, 0.25], [0.1, 0.0, 1.0]])
+    assert np.array_equal(su.integrate_path(system, polyline(x_r, x_r), y0), y0)
 
 
 def test_initial_matrix_must_be_invertible():
@@ -433,11 +445,6 @@ def test_paths_geometry():
     assert arc.length == pytest.approx(math.pi)
     loop = circle(1.0, 0.5, angle_start=math.pi)
     assert loop.segments[0].point(0.0) == pytest.approx(0.5)
-    assert loop.min_distance(1.0) == pytest.approx(0.5)
-    assert loop.min_distance(1.6) == pytest.approx(0.1)
-    seg = Line(0.0, 1.0)
-    assert seg.min_distance(0.5 + 0.25j) == pytest.approx(0.25)
-    assert seg.min_distance(-0.3) == pytest.approx(0.3)
     # an array of s evaluates elementwise
     s = np.array([0.0, 0.1, 0.2, 0.3, 0.55, 8 / 9, 1.0])
     for segment in (Arc(0.5 - 0.2j, 0.7, 0.3, -4.0), Line(0.2 - 1.0j, 1.5 + 2.0j)):
@@ -450,7 +457,7 @@ def _all_steps_transport(system, path, y0, tol):
     """integrate_path with its stopping rule evaluated for every step after every term:
     the reference that the one-step-first evaluation must match bit for bit."""
     y = np.array(y0, dtype=complex)
-    c, t, r, segments = oracle._steps(path, system.singularities())
+    c, t, r, segments = oracle._steps(path, system.singularities(), system.clearance())
     rho = oracle._SAMPLE_RATIO * r
     n, k = len(c), oracle._CAUCHY_POINTS
     d = oracle._taylor_coefficients(system, c, rho, tol, segments)

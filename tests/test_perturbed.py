@@ -15,6 +15,7 @@ from stokes_unfold import (
     ResonanceClass,
     SeriesKind,
     SingularPoint,
+    oracle,
 )
 from stokes_unfold.errors import (
     BranchCutError,
@@ -321,10 +322,15 @@ def test_residues_rejected_outside_implemented_classes():
         su.residues(PerturbParams.from_resonant_index(-3.0, 3))  # below the derived branch
 
 
-def test_residue_gate_is_the_resonance_index():
-    # seeded points of every class, negative indices included: the residues and the
-    # contour oracle refuse exactly where resonance_index does, and what it accepts is
-    # class B or C (integer nu <= 0, whose closed forms need n >= 1 - nu, is not drawn)
+def test_residue_gate_is_the_resonance_index(monkeypatch):
+    # seeded points of every class, negative indices included: the residues, the contour
+    # oracle and the ODE oracle refuse exactly where resonance_index does, the ODE oracle
+    # before any transport, and what it accepts is class B or C (integer nu <= 0, whose
+    # closed forms need n >= 1 - nu, is not drawn)
+    def no_transport(*args, **kwargs):
+        raise AssertionError("the refused point reached the Taylor transport")
+
+    monkeypatch.setattr(oracle, "integrate_path", no_transport)
     rng = np.random.default_rng(19)
     draws = []
     for _ in range(40):
@@ -345,7 +351,8 @@ def test_residue_gate_is_the_resonance_index():
         except ResonanceError:
             negative += cls in (ResonanceClass.B, ResonanceClass.C)
             for call in (su.residues, lambda q: su.residue_numeric_oracle(q, "L"),
-                         lambda q: su.residue_numeric_oracle(q, "R")):
+                         lambda q: su.residue_numeric_oracle(q, "R"),
+                         lambda q: su.numerical_monodromy(q, "L", allow_stiff=True)):
                 with pytest.raises(ResonanceError):
                     call(p)
             continue
@@ -354,8 +361,10 @@ def test_residue_gate_is_the_resonance_index():
         su.residue_numeric_oracle(p, "L")
         su.residue_numeric_oracle(p, "R")
     assert seen == set(ResonanceClass) and negative > 0
-    # the oracle's own class gate still lets a class-B point with index -1 through
-    assert su.numerical_monodromy(PerturbParams(5.0, 1.0 / 3.0), "L").M_numeric.shape == (3, 3)
+    # a class-B point with index -1 is refused under the stiffness guard as well
+    assert su.classify_resonance(PerturbParams(5.0, 1.0 / 3.0)) is ResonanceClass.B
+    with pytest.raises(ResonanceError, match="not a non-negative integer"):
+        su.numerical_monodromy(PerturbParams(5.0, 1.0 / 3.0), "L")
     for nu in (math.nan, math.inf):
         with pytest.raises(ValueError):
             su.confluence_table(nu, 1, 5)
@@ -492,6 +501,22 @@ def test_unfolded_stokes_values_and_infinity_relation():
         m_hat = su.formal_monodromy(nu)
         lhs = m_l @ np.linalg.inv(m_hat) @ m_r @ m_hat
         assert su.max_abs(lhs - st_l @ st_r @ m_hat) <= 1e-12
+
+
+@pytest.mark.parametrize("nu", [0.37, 0.5, 1.3, 2.0, 3.3, -0.5])
+@pytest.mark.parametrize("n", [415, 10**3, 10**4, 10**5, 10**6])
+def test_monodromy_matrices_serve_every_index(nu, n):
+    # every index the confluence table reports: the factors commute and the relation at
+    # infinity holds up to the roundoff of exp(2 pi i w), |w| ~ 2n (worst seen 1.8e-14 n)
+    p = PerturbParams.from_resonant_index(nu, n)
+    m_l, m_r = su.monodromy_matrices(p)
+    st_l, st_r = su.unfolded_stokes(p)
+    d_l, d_r = monodromy_exponent_factor(p, "L"), monodromy_exponent_factor(p, "R")
+    m_hat = su.formal_monodromy(nu)
+    assert su.max_abs(m_l - st_l @ d_l) <= 3e-14 * n
+    assert su.max_abs(m_r - st_r @ d_r) <= 3e-14 * n
+    lhs = m_l @ np.linalg.inv(m_hat) @ m_r @ m_hat
+    assert su.max_abs(lhs - st_l @ st_r @ m_hat) <= 3e-14 * n
 
 
 def test_offdiag_quadrature_reference_values():
