@@ -248,7 +248,7 @@ def cmd_oracle(args) -> int:
         params_json = {"nu": complex_to_json(args.nu), "which": "origin"}
     else:
         if args.n is None:
-            raise ResonanceError("--n is required for the L and R loops")
+            build_parser().error("argument --n: required for the L and R loops")
         params = PerturbParams.from_resonant_index(args.nu, args.n)
         report = numerical_monodromy(params, args.which, tol=args.tol)
         expected_log = expected_log_flag(params, args.which)

@@ -101,18 +101,19 @@ def integrate_path(system: CompanionSystem, path: ContourPath, y0, tol: float = 
     call samples A on 64 points of the circle of radius 0.6 r_j about every centre, whose
     DFT gives A's Taylor coefficients there.  (m+1) Y_{m+1} = sum_l A_l Y_{m-l} then runs
     for all steps at once until, for every step j, two consecutive terms fall below
-    tol * max(1, |Phi_j|), so ``tol`` bounds each step's truncation.  The rule is the
-    same for every step, but it is evaluated on one step first: the all-steps test runs
-    only after a term at which that step passed twice in a row, and a step that fails it
-    becomes the one watched.  Each term is one broadcast product of contiguous slices,
+    tol * max(1, |Phi_j|), so ``tol`` bounds each step's truncation, not the transported
+    matrix: at nu = 1/2, sqrt(eps) = 1/4, a path passing 3 clearances from x_R (weight
+    -1.75) is off by 1.2e-3 relative at tol 1e-9.  The rule is the same for every step,
+    but it is evaluated on one step first: the all-steps test runs only after a term at
+    which that step passed twice in a row, and a step that fails it becomes the one
+    watched.  Each term is one broadcast product of contiguous slices,
     (n, 3, 1, 3(m+1)) @ (n, 1, 3(m+1), 3) for n steps, written into its slot: row i of
     t A_l t^l for l < 64 lies side by side in d[j, i, 0], and the terms Y_m t^m so far
     are stacked newest first at the end of terms[j, 0].  Raises SingularMatrixError when
     ``y0`` fails the determinant rule of ``invertible_det3``; PathError by the clearance
     rule of ``_steps`` (a path of zero length returns ``y0``); ToleranceError, naming the
-    segment, when the last two coefficients on a circle exceed tol relative to the largest
-    sample (a singularity inside it) or when a series has not converged by 64 terms;
-    ValueError unless tol > 0.
+    segment, by the decay test of ``_taylor_coefficients`` or when a series has not
+    converged by 64 terms; ValueError unless tol > 0.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -178,7 +179,8 @@ def _maybe_below(term, phi, tol: float) -> bool:
 
 def _taylor_coefficients(system, c, rho, tol: float, segments) -> np.ndarray:
     """A_l rho^l, l < 64, about every centre as an (n, 64, 9) array: the DFT of A on the
-    circles.  A pole of order <= 2 inside a circle aliases onto the last two (else ~0.6^62)."""
+    circles.  An unreported pole inside a circle aliases onto the last two; a reported
+    double pole, at 1/0.6 of the circle's radius, leaves ~(l + 1) 0.6^l of A there."""
     samples = system.matrix((c[:, None] + rho[:, None] * _UNIT_ROOTS).ravel())
     samples = np.reshape(samples, (len(c), _CAUCHY_POINTS, 9))
     coeffs = _DFT @ samples
@@ -186,8 +188,9 @@ def _taylor_coefficients(system, c, rho, tol: float, segments) -> np.ndarray:
     aliased = np.flatnonzero(tail > tol * np.abs(samples).max(axis=(1, 2)))
     if aliased.size:
         j = aliased[0]
-        raise ToleranceError(f"Taylor coefficients of A about {c[j]:.6g} have not decayed below "
-                             f"tol = {tol:g} on {segments[j]}: a singularity inside the sampling circle?")
+        raise ToleranceError(f"Taylor coefficients of A about {c[j]:.6g} have not decayed below tol = {tol:g} on "
+                             f"{segments[j]}: either the system does not report a singular point inside the sampling "
+                             f"circle, or A's coefficients decay too slowly for {_CAUCHY_POINTS} terms at this tol")
     return coeffs
 
 
@@ -289,21 +292,18 @@ def closed_loop_eigenvalues(params: PerturbParams, which: str) -> tuple:
     return tuple(cmath.exp(2j * math.pi * (rho[k] - k)) for k in range(3))
 
 
-def numerical_monodromy(params: PerturbParams, which: str, tol: float = 1e-9,
-                        allow_stiff: bool = False) -> MonodromyReport:
+def numerical_monodromy(params: PerturbParams, which: str, tol: float = 1e-9) -> MonodromyReport:
     """Monodromy of the identity-normalized solution at x0 = 0 around the
     requested singular point, with conjugacy-invariant comparison data.
 
-    Refuses 1/sqrt(eps) > 12 unless ``allow_stiff``: beyond that the local
-    exponents drive the dynamic range on the loop past what double
-    precision tracks reliably.  Then, before any transport, gated as
-    ``residues`` is: ResonanceError unless ``resonance_index`` holds.
+    Before any transport, ResonanceError unless ``resonance_index`` holds (the gate
+    of ``residues``), then GuardError for 1/sqrt(eps) > 12, where the local exponents
+    drive the dynamic range on the loop past what double precision tracks reliably.
     """
-    if 1.0 / params.sqrt_eps > STIFFNESS_LIMIT and not allow_stiff:
-        raise GuardError(f"1/sqrt(eps) = {1.0 / params.sqrt_eps:.3f} exceeds the stiffness guard {STIFFNESS_LIMIT}")
     resonance_index(params)
-    system = CompanionSystem.perturbed(params)
-    m = integrate_path(system, loop_around(params, which), identity3(), tol)
+    if 1.0 / params.sqrt_eps > STIFFNESS_LIMIT:
+        raise GuardError(f"1/sqrt(eps) = {1.0 / params.sqrt_eps:.3f} exceeds the stiffness guard {STIFFNESS_LIMIT}")
+    m = integrate_path(CompanionSystem.perturbed(params), loop_around(params, which), identity3(), tol)
     return _build_report(m, closed_loop_eigenvalues(params, which))
 
 
@@ -319,7 +319,6 @@ def unperturbed_monodromy(nu, radius: float = 1.0, tol: float = 1e-9) -> Monodro
     equation, compared against the closed-form monodromy there."""
     if not 0.5 <= radius <= 2.0:
         raise ValueError("radius must lie in [0.5, 2]")
-    system = CompanionSystem.unperturbed(nu)
-    m = integrate_path(system, circle(0.0, radius), identity3(), tol)
+    m = integrate_path(CompanionSystem.unperturbed(nu), circle(0.0, radius), identity3(), tol)
     # the closed-form monodromy is triangular, with its eigenvalues on the diagonal
     return _build_report(m, tuple(np.diag(monodromy_origin(nu))))

@@ -32,12 +32,17 @@ class Line:
 
 @dataclass(frozen=True)
 class Arc:
-    """Circular arc, traversed linearly in angle (may span several turns)."""
+    """Circular arc, traversed linearly in angle (may span several turns); PathError
+    unless the radius is >= 0, so that ``length`` is."""
 
     center: complex
     radius: float
     angle_start: float
     angle_end: float
+
+    def __post_init__(self):
+        if not self.radius >= 0:
+            raise PathError(f"an arc needs a radius >= 0, got {self.radius}")
 
     @property
     def length(self) -> float:

@@ -302,6 +302,22 @@ def test_oracle_guard_exit(capsys):
     assert rec["error"]["exit_code"] == 4
 
 
+def test_oracle_checks_the_resonance_index_before_the_guard(capsys):
+    # 1/sqrt(eps) = 20 is past the guard, and n = -5 is off the resonant sequence
+    code, rec = run_json(capsys, "oracle", "--nu", "30", "--n", "-5", "--which", "L")
+    assert code == rec["error"]["exit_code"] == 3
+    assert rec["error"]["type"] == "ResonanceError"
+
+
+def test_oracle_loop_without_n_is_an_argument_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--nu", "0.5", "--which", "L"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --n: required for the L and R loops" in captured.err
+
+
 def test_oracle_origin(capsys):
     code, rec = run_json(capsys, "oracle", "--nu", "0", "--which", "origin")
     assert code == 0

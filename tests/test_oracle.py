@@ -11,6 +11,8 @@ from stokes_unfold import CompanionSystem, PerturbParams, oracle
 from stokes_unfold.errors import GuardError, PathError, SingularMatrixError, ToleranceError
 from stokes_unfold.mat3 import invertible_det3
 from stokes_unfold.oracle import (
+    STIFFNESS_LIMIT,
+    _build_report,
     closed_loop_eigenvalues,
     expected_log_flag,
     loop_around,
@@ -171,12 +173,18 @@ def test_refuses_rather_than_returns_a_wrong_matrix():
     # alone, and x_L falls inside their sampling circles
     params = PerturbParams.from_resonant_index(0.5, 1)
     hiding = Recording(CompanionSystem.perturbed(params), hidden=(complex(params.x_L),))
-    with pytest.raises(ToleranceError, match="have not decayed"):
-        su.integrate_path(hiding, loop_around(params, "L"), np.eye(3), tol=1e-9)
+    # the same test refuses the radius-1 origin loop at tol 1e-13: no singular point lies
+    # inside its sampling circles, but the double pole 2/x^2 outside leaves ~2.5e-13 there
+    for refused in (lambda: su.integrate_path(hiding, loop_around(params, "L"), np.eye(3), tol=1e-9),
+                    lambda: su.unperturbed_monodromy(0.5, radius=1.0, tol=1e-13)):
+        with pytest.raises(ToleranceError, match="have not decayed") as refusal:
+            refused()
+        assert ("either the system does not report a singular point inside the sampling circle, "
+                "or A's coefficients decay too slowly for 64 terms at this tol") in str(refusal.value)
     # far past the stiffness guard the series needs more terms than the cap
     stiff = PerturbParams.from_resonant_index(0.5, 15)
     with pytest.raises(ToleranceError, match="has not converged"):
-        su.numerical_monodromy(stiff, "L", tol=1e-9, allow_stiff=True)
+        su.integrate_path(CompanionSystem.perturbed(stiff), loop_around(stiff, "L"), np.eye(3), 1e-9)
 
 
 @pytest.mark.parametrize("nu", [0.37, 1.3, 2.71, 3.6])
@@ -185,7 +193,7 @@ def test_monodromy_sweep_meets_invariants(nu):
     for which in ("L", "R"):
         for n in range(1, 6):
             params = PerturbParams.from_resonant_index(nu, n)
-            if 1.0 / params.sqrt_eps > 12.0:
+            if 1.0 / params.sqrt_eps > STIFFNESS_LIMIT:
                 continue
             report = su.numerical_monodromy(params, which, tol=1e-9)
             assert report.max_invariant_error <= 1e-8, (which, n)
@@ -369,10 +377,11 @@ def test_stiffness_guard():
         su.numerical_monodromy(PerturbParams.from_resonant_index(0.5, 6), "R")
 
 
-def test_stiffness_guard_override():
-    # 1/sqrt(eps) = 12.5 sits just past the guard; the override still works
+def test_transport_past_the_stiffness_guard():
+    # 1/sqrt(eps) = 12.5 sits just past the guard, which integrate_path does not apply
     params = PerturbParams.from_resonant_index(0.5, 6)
-    report = su.numerical_monodromy(params, "R", tol=1e-10, allow_stiff=True)
+    m = su.integrate_path(CompanionSystem.perturbed(params), loop_around(params, "R"), np.eye(3), 1e-10)
+    report = _build_report(m, closed_loop_eigenvalues(params, "R"))
     assert report.max_invariant_error <= 1e-5
 
 
@@ -445,6 +454,11 @@ def test_paths_geometry():
     assert arc.length == pytest.approx(math.pi)
     loop = circle(1.0, 0.5, angle_start=math.pi)
     assert loop.segments[0].point(0.0) == pytest.approx(0.5)
+    # a negative radius would make the length negative and the steps run backwards
+    for radius in (-1.0, math.nan):
+        with pytest.raises(PathError, match="radius >= 0"):
+            circle(0.0, radius)
+    assert Arc(0.0, 0.0, 0.0, math.pi).length == 0.0
     # an array of s evaluates elementwise
     s = np.array([0.0, 0.1, 0.2, 0.3, 0.55, 8 / 9, 1.0])
     for segment in (Arc(0.5 - 0.2j, 0.7, 0.3, -4.0), Line(0.2 - 1.0j, 1.5 + 2.0j)):

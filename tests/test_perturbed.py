@@ -352,7 +352,7 @@ def test_residue_gate_is_the_resonance_index(monkeypatch):
             negative += cls in (ResonanceClass.B, ResonanceClass.C)
             for call in (su.residues, lambda q: su.residue_numeric_oracle(q, "L"),
                          lambda q: su.residue_numeric_oracle(q, "R"),
-                         lambda q: su.numerical_monodromy(q, "L", allow_stiff=True)):
+                         lambda q: su.numerical_monodromy(q, "L")):
                 with pytest.raises(ResonanceError):
                     call(p)
             continue
@@ -365,6 +365,9 @@ def test_residue_gate_is_the_resonance_index(monkeypatch):
     assert su.classify_resonance(PerturbParams(5.0, 1.0 / 3.0)) is ResonanceClass.B
     with pytest.raises(ResonanceError, match="not a non-negative integer"):
         su.numerical_monodromy(PerturbParams(5.0, 1.0 / 3.0), "L")
+    # and one past it (1/sqrt(eps) = 20): the gate comes before the guard
+    with pytest.raises(ResonanceError, match="not a non-negative integer"):
+        su.numerical_monodromy(PerturbParams.from_resonant_index(30.0, -5), "L")
     for nu in (math.nan, math.inf):
         with pytest.raises(ValueError):
             su.confluence_table(nu, 1, 5)

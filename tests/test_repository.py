@@ -1,13 +1,15 @@
-"""Repository-level guards: the README's library example runs as written, and no
-module of the package imports a name it never uses."""
+"""Repository-level guards: the README's library example and command lines run as
+written, and no module of the package imports a name it never uses."""
 
 import ast
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 import stokes_unfold
+from stokes_unfold.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 PACKAGE = Path(stokes_unfold.__file__).resolve().parent
@@ -19,6 +21,24 @@ def test_readme_library_example_runs():
     block = re.match(r"\s*```python\n(.*?)\n```\n", section, re.DOTALL)
     assert block, "no python block under '## Library example'"
     exec(compile(block.group(1), f"{README.name}:Library example", "exec"), {})
+
+
+def _readme_command_lines() -> list:
+    section = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    block = re.match(r"\s*```sh\n(.*?)\n```\n", section, re.DOTALL)
+    assert block, "no sh block under '## Command line'"
+    lines = re.sub(r"\\\n\s*", "", block.group(1)).splitlines()
+    return [shlex.split(line, comments=True) for line in lines]
+
+
+@pytest.mark.parametrize("argv", _readme_command_lines(), ids=" ".join)
+def test_readme_command_line_runs(argv, tmp_path, capsys):
+    program, *args = argv
+    assert program == "stokes-unfold"
+    if "--gnuplot" in args:  # the README writes to /tmp/conv
+        args[args.index("--gnuplot") + 1] = str(tmp_path / "conv")
+    assert main(args) == 0
+    assert capsys.readouterr().out
 
 
 def _unused_imports(tree) -> list:
