@@ -23,7 +23,7 @@ import numpy as np
 
 from .checks import run_checks
 from .confluence import confluence_table, fitted_rate, limit_targets
-from .errors import GuardError, ResonanceError, StokesUnfoldError, ToleranceError
+from .errors import GuardError, StokesUnfoldError, ToleranceError
 from .mat3 import max_abs
 from .oracle import expected_log_flag, numerical_monodromy, unperturbed_monodromy
 from .perturbed import (
@@ -161,13 +161,6 @@ def cmd_perturbed(args) -> int:
     return EXIT_OK
 
 
-def _confluence_table(args):
-    nu = args.nu
-    if nu.imag != 0:
-        raise ResonanceError("confluence tables need real nu")
-    return confluence_table(nu.real, args.n_min, args.n_max)
-
-
 def _columns(table):
     """The table's real columns in CSV_HEADER order."""
     return (table.n, table.sqrt_eps, table.d_L2.real, table.d_L2.imag, table.d_R3.real, table.d_R3.imag,
@@ -218,7 +211,7 @@ def _write_gnuplot(prefix: str, table) -> None:
 
 
 def cmd_confluence(args) -> int:
-    table = _confluence_table(args)
+    table = confluence_table(args.nu, args.n_min, args.n_max)
     if args.gnuplot:
         _write_gnuplot(args.gnuplot, table)
     if args.format == "csv":
@@ -248,7 +241,7 @@ def cmd_oracle(args) -> int:
         params_json = {"nu": complex_to_json(args.nu), "which": "origin"}
     else:
         if args.n is None:
-            build_parser().error("argument --n: required for the L and R loops")
+            args.parser.error("argument --n: required for the L and R loops")
         params = PerturbParams.from_resonant_index(args.nu, args.n)
         report = numerical_monodromy(params, args.which, tol=args.tol)
         expected_log = expected_log_flag(params, args.which)
@@ -274,7 +267,7 @@ def cmd_oracle(args) -> int:
 def cmd_check(args) -> int:
     results = run_checks(args.filter, seed=args.seed)
     if not results:  # a mistyped filter would otherwise pass with no check run
-        build_parser().error(f"argument --filter: no property matches {args.filter!r}")
+        args.parser.error(f"argument --filter: no property matches {args.filter!r}")
     payload = {
         "seed": args.seed,
         "filter": args.filter,
@@ -320,12 +313,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--which", choices=("L", "R", "origin"), required=True)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.set_defaults(func=cmd_oracle)
+    p.set_defaults(func=cmd_oracle, parser=p)  # args.parser.error prints this usage line
 
     p = sub.add_parser("check", help="run the property-check suite")
     p.add_argument("--filter", default=None, help="substring filter on module or check name")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_check)
+    p.set_defaults(func=cmd_check, parser=p)
 
     return parser
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ResonanceError
 from .gammas import log_gamma_ratio, reciprocal_gamma
 from .perturbed import log_resonant_d_range
 
@@ -127,9 +128,12 @@ def confluence_table(nu: float, n_min: int, n_max: int) -> ConfluenceTable:
     Arrays of d_L2, d_R3 and delta = |d_L2 - d_L2(inf)| come from one vectorized
     pass.  The error columns are delta, delta/2, 2 pi delta and pi delta:
     exp(2 pi i T_j) differs from the Stokes matrix only by 2 pi i (d_j - d_j(inf))
-    in one entry, and |e^{i pi (1-nu)}| = 1.  ValueError unless nu is finite, n_min <= n_max
-    and 1/sqrt(eps) = nu + 2 n exceeds 1 on every row, i.e. at n_min."""
-    nu = float(nu)
+    in one entry, and |e^{i pi (1-nu)}| = 1.  ResonanceError unless nu is real, then ValueError
+    unless it is finite, n_min <= n_max and 1/sqrt(eps) = nu + 2 n exceeds 1 at n_min."""
+    nu = complex(nu)
+    if nu.imag:
+        raise ResonanceError("confluence tables need real nu")
+    nu = nu.real
     if not math.isfinite(nu):
         raise ValueError(f"nu must be finite, got {nu}")
     if nu + 2.0 * n_min <= 1.0:

@@ -104,9 +104,10 @@ def integrate_path(system: CompanionSystem, path: ContourPath, y0, tol: float = 
     tol * max(1, |Phi_j|), so ``tol`` bounds each step's truncation, not the transported
     matrix: at nu = 1/2, sqrt(eps) = 1/4, a path passing 3 clearances from x_R (weight
     -1.75) is off by 1.2e-3 relative at tol 1e-9.  The rule is the same for every step,
-    but it is evaluated on one step first: the all-steps test runs only after a term at
-    which that step passed twice in a row, and a step that fails it becomes the one
-    watched.  Each term is one broadcast product of contiguous slices,
+    but it is evaluated on one watched step first: the all-steps test runs after each term
+    that this step passes, its first failing step becomes the one watched, and one flag
+    keeps whether every step passed after the previous term; a refusal at the term cap
+    names the watched step.  Each term is one broadcast product of contiguous slices,
     (n, 3, 1, 3(m+1)) @ (n, 1, 3(m+1), 3) for n steps, written into its slot: row i of
     t A_l t^l for l < 64 lies side by side in d[j, i, 0], and the terms Y_m t^m so far
     are stacked newest first at the end of terms[j, 0].  Raises SingularMatrixError when
@@ -133,35 +134,24 @@ def integrate_path(system: CompanionSystem, path: ContourPath, y0, tol: float = 
     d = np.ascontiguousarray(d.reshape(n, k, 3, 3).transpose(0, 2, 1, 3)).reshape(n, 3, 1, 3 * k)
     terms = np.empty((n, 1, 3 * (k + 1), 3), dtype=complex)
     terms[:, 0, 3 * k:] = np.eye(3)
-    phis = np.empty((2, n, 3, 3), dtype=complex)  # Phi after term m in phis[m % 2]
-    phis[1] = np.eye(3)
-
-    def below(m):  # the rule after term m, per step
-        term = terms[:, 0, 3 * (k - m - 1):3 * (k - m)]
-        return np.abs(term).max(axis=(1, 2)) <= tol * np.maximum(1.0, np.abs(phis[m % 2]).max(axis=(1, 2)))
-
-    def first_open(now, prev):  # the first step not below after term m, else after m - 1
-        return int(np.argmin(now)) if not now.all() else int(np.argmin(prev))
-
-    # j is the watched step and ``failed`` the last term at which it failed the rule; the
-    # start -1 lets a stop come at m = 1 (tol >= 0.5 can stop there), never at m = 0
-    j, failed, cached = 0, -1, (-1, None)
+    phi = np.tile(np.eye(3, dtype=complex), (n, 1, 1))  # Phi after the terms so far
+    # j is the watched step, and ``settled`` says that every step met the rule after the
+    # previous term; its start False lets a stop come at m = 1 (tol >= 0.5 can), never at m = 0
+    j, settled = 0, False
     for m in range(k):
         term = terms[:, 0, 3 * (k - m - 1):3 * (k - m)]
         np.matmul(d[..., :3 * (m + 1)], terms[..., 3 * (k - m):, :], out=term[:, :, None])
         term /= m + 1
-        phi = np.add(phis[(m + 1) % 2], term, out=phis[m % 2])
+        phi += term
         if not _maybe_below(term[j], phi[j], tol):
-            failed = m
-        elif failed < m - 1:
-            now = below(m)
-            prev = cached[1] if cached[0] == m - 1 else below(m - 1)
-            if now.all() and prev.all():
-                break
-            j = first_open(now, prev)
-            failed, cached = (m if not now[j] else m - 1), (m, now)
+            settled = False
+            continue
+        below = np.abs(term).max(axis=(1, 2)) <= tol * np.maximum(1.0, np.abs(phi).max(axis=(1, 2)))
+        if settled and below.all():
+            break
+        settled = below.all()
+        j = j if settled else int(np.argmin(below))
     else:
-        j = first_open(below(k - 1), below(k - 2))
         raise ToleranceError(f"Taylor series about {c[j]:.6g} has not converged to tol = {tol:g} "
                              f"in {_CAUCHY_POINTS} terms on {segments[j]}")
     for step in phi:

@@ -330,13 +330,13 @@ def log_resonant_d_range(nu, n_min: int, n_max: int) -> tuple[np.ndarray, np.nda
     if n_min < 0:
         raise ResonanceError("resonance index must be >= 0")
     count = n_max - n_min + 1
-    if _near_integer(nu) and round(nu.real) <= 0:
+    rg = reciprocal_gamma(nu)
+    if rg == 0:  # nu a non-positive integer, exactly
         if n_min >= 1 - round(nu.real):
             return np.zeros(count, dtype=complex), np.zeros(count, dtype=complex), np.zeros(count)
         raise ResonanceError(
             "for integer nu <= 0 the closed forms need nu/2 + 1/(2 sqrt_eps) >= 1"
         )
-    rg = reciprocal_gamma(nu)
     log_r = log_gamma_ratio(nu, n_min, count)
     if nu.imag or nu.real + 2.0 * n_min <= 0.0:  # R complex: complex nu, or z <= 0 on a row
         w = rg * np.exp(log_r)

@@ -315,7 +315,9 @@ def test_oracle_loop_without_n_is_an_argument_error(capsys):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "argument --n: required for the L and R loops" in captured.err
+    # the usage line is the subcommand's, so that it shows the oracle options
+    assert captured.err.startswith("usage: stokes-unfold oracle [-h] --nu NU [--n N]")
+    assert "stokes-unfold oracle: error: argument --n: required for the L and R loops" in captured.err
 
 
 def test_oracle_origin(capsys):
@@ -360,7 +362,8 @@ def test_check_filter_matching_nothing_is_an_argument_error(capsys):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "argument --filter: no property matches 'nosuchcheck'" in captured.err
+    assert captured.err.startswith("usage: stokes-unfold check [-h] [--filter FILTER]")
+    assert "stokes-unfold check: error: argument --filter: no property matches 'nosuchcheck'" in captured.err
 
 
 def test_check_reports_known_rate_defect(capsys, monkeypatch):

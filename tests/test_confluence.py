@@ -8,6 +8,7 @@ import pytest
 
 import stokes_unfold as su
 from stokes_unfold import ResonanceClass
+from stokes_unfold.errors import ResonanceError
 from stokes_unfold.gammas import _midpoint_coefficients, log_gamma_ratio, reciprocal_gamma
 from stokes_unfold.perturbed import log_resonant_d_range
 
@@ -29,6 +30,13 @@ def test_resonant_sequence_range_errors():
         su.confluence_table(0.9, 0, 3)  # nu + 0 <= 1
     with pytest.raises(ValueError):
         su.confluence_table(0.5, 3, 1)
+
+
+def test_complex_nu_is_refused_before_the_range_checks():
+    # the resonant sequence 1/sqrt(eps) = nu + 2 n is defined for real nu only
+    for nu in (0.5 + 0.1j, complex(math.inf, 1.0)):
+        with pytest.raises(ResonanceError, match="^confluence tables need real nu$"):
+            su.confluence_table(nu, 1, 3)
 
 
 def test_limit_targets():

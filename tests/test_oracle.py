@@ -514,6 +514,11 @@ def _reference_cases():
         params = PerturbParams.from_resonant_index(0.5, n)
         for which in ("L", "R"):
             yield f"stiff-{which}-n{n}", CompanionSystem.perturbed(params), loop_around(params, which), 1e-9
+    # term-cap refusals at an interior step, which the refusal must name as the reference does
+    params = PerturbParams.from_resonant_index(0.5, 13)
+    s = params.sqrt_eps
+    for name, path in (("polyline", polyline(-1, 0.5j * s, 1)), ("circle", circle(s, 1.5 * s))):
+        yield f"interior-{name}-n13", CompanionSystem.perturbed(params), path, 1e-12
 
 
 @pytest.mark.parametrize("system,path,tol", [case[1:] for case in _reference_cases()],

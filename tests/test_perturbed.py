@@ -26,7 +26,7 @@ from stokes_unfold.errors import (
     ResonanceError,
     SingularPointError,
 )
-from stokes_unfold.perturbed import monodromy_exponent_factor, resonance_index
+from stokes_unfold.perturbed import log_resonant_d_range, monodromy_exponent_factor, resonance_index
 
 # 30-digit quadrature of the defining iterated integrals at nu = 1/2, n = 2
 PHI12_HALF_N2_AT_05 = 0.0075640123246726374
@@ -580,3 +580,22 @@ def test_complex_d_values_match_mpmath():
                 d_l2, d_r3 = su.log_resonant_d_values(nu, n)
                 for got, ref in ((d_l2, mp.exp(1j * mp.pi * (1 - nu_mp)) * w), (d_r3, -w / 2)):
                     assert abs(got - ref) <= 1e-13 * abs(ref), (nu, n)
+
+
+@pytest.mark.parametrize("nu", [-1 + 1e-10, -1 - 3e-10, -2 + 5e-10, -3 + 2e-10, -7 + 1e-10, 1e-10, -4e-10])
+def test_d_values_next_to_a_nonpositive_integer_nu_match_mpmath(nu):
+    # 1/Gamma(nu) is small there but not zero, so neither are the d-values; rows below
+    # n = 1 - round(nu) are served too.  delta holds 1e-10 away from nu = 0, where R = 1 costs
+    # it relative accuracy in proportion to the distance
+    mp = pytest.importorskip("mpmath")
+    n_min = next(n for n in range(40) if nu + 2 * n > 1)
+    d_l2, d_r3, delta = log_resonant_d_range(nu, n_min, 39)
+    with mp.workdps(50):
+        nu_mp = mp.mpf(nu)
+        for i, n in enumerate(range(n_min, 40)):
+            w = (n + nu_mp / 2) ** (1 - nu_mp) * mp.rf(nu_mp, n) / mp.factorial(n)
+            for got, ref in ((d_l2[i], mp.exp(1j * mp.pi * (1 - nu_mp)) * w), (d_r3[i], -w / 2)):
+                assert abs(got - ref) <= 1e-13 * abs(ref), n
+            if abs(nu) > 0.5:
+                ref = abs(w - mp.rgamma(nu_mp))
+                assert abs(delta[i] - ref) <= 1e-10 * ref, n
