@@ -1,5 +1,6 @@
-"""The quadrature engine: adaptive Gauss-Legendre chains against closed forms, their
-integrand-call count, and their refusal of a tolerance below the rounding floor."""
+"""The quadrature engine: adaptive Gauss-Legendre chains against closed forms, the
+panels they evaluate and how they batch them, and their refusal of a tolerance below
+the rounding floor."""
 
 import math
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import stokes_unfold as su
-from stokes_unfold import quad
+from stokes_unfold import borel, perturbed, quad
 from stokes_unfold.errors import ToleranceError
 
 EPS = np.finfo(float).eps
@@ -65,57 +66,90 @@ def test_batched_panels_agree_with_single_panels():
         assert abs(value - single) <= 4 * EPS * abs(single)
 
 
-def _bisections(f, points, tol_abs, max_depth=48):
-    """Bisections an adaptive rule makes with one panel at a time."""
-    count = 0
+def _one_panel_walk(f, points, tol_abs, max_depth=48):
+    """The panels (centre, half-length) an adaptive rule evaluates with one panel at a
+    time, its depth-first sum of the accepted pairs, and the sum of their moduli."""
+    panels, total, scale = [], 0j, 0.0
     budget = tol_abs / (len(points) - 1)
+
+    def panel(a, b):
+        panels.append((0.5 * (a + b), 0.5 * (b - a)))
+        return _panel(f, a, b)
+
     for a, b in zip(points, points[1:]):
-        stack = [(a, b, _panel(f, a, b), budget, 0)]
+        stack = [(a, b, panel(a, b), budget, 0)]
         while stack:
             a0, b0, whole, tol0, depth = stack.pop()
             mid = 0.5 * (a0 + b0)
-            left, right = _panel(f, a0, mid), _panel(f, mid, b0)
-            count += 1
-            if abs(whole - left - right) > tol0 and depth < max_depth:
+            left, right = panel(a0, mid), panel(mid, b0)
+            if abs(whole - left - right) <= tol0 or depth >= max_depth:
+                total += left + right
+                scale += abs(left + right)
+            else:
                 stack += [(a0, mid, left, tol0 / 2, depth + 1), (mid, b0, right, tol0 / 2, depth + 1)]
-    return count
+    return panels, total, scale
 
 
-def test_chain_calls_the_integrand_once_per_bisection():
+def _record_panels(monkeypatch, module):
+    """The panels (centre, half-length) of every gl_panel call, one list per call, and the
+    segment count of every chain ``module`` starts; more than 1000 calls raise."""
+    calls, segments = [], []
+    panel, chain = quad.gl_panel, quad.integrate_chain
+
+    def recorded(f, mid, half):
+        calls.append(list(zip(mid.tolist(), half.tolist())))
+        if len(calls) > 1000:
+            raise RuntimeError("more than 1000 gl_panel calls")
+        return panel(f, mid, half)
+
+    monkeypatch.setattr(quad, "gl_panel", recorded)
+    monkeypatch.setattr(module, "integrate_chain",
+                        lambda f, points, tol_abs: segments.append(len(points) - 1)
+                        or chain(f, points, tol_abs))
+    return calls, segments
+
+
+def test_chain_evaluates_the_panels_of_a_one_panel_walk(monkeypatch):
     # a pole 0.01 off the path forces several levels of bisection
     g = lambda s: 1.0 / (s - (0.7 + 0.01j))
-    shapes = []
-    f = lambda s: shapes.append(np.shape(s)) or g(s)
     points = [0.0, 0.5, 1.0, 2.0]
-    bisections = _bisections(g, points, 1e-12)
-    assert bisections > 2 * len(points)
-    quad.integrate_chain(f, points, 1e-12)
-    assert len(shapes) == 1 + bisections
-    assert shapes == [(3, 20)] + [(2, 20)] * bisections
+    expected, reference, scale = _one_panel_walk(g, points, 1e-12)
+    assert len(expected) > 6 * len(points)
+    calls, _ = _record_panels(monkeypatch, quad)
+    value = quad.integrate_chain(g, points, 1e-12)
+    assert sorted(sum(calls, [])) == sorted(expected)
+    assert len(calls[0]) == 3 * (len(points) - 1)
+    assert max(map(len, calls)) <= 2 * quad._BATCH
+    assert abs(value - reference) <= 2 * EPS * scale
 
 
 def test_stokes_jump_batches_its_panels(monkeypatch):
-    calls = []
-    panel = quad.gl_panel
-    monkeypatch.setattr(quad, "gl_panel", lambda *args: calls.append(1) or panel(*args))
+    calls, _ = _record_panels(monkeypatch, borel)
     su.stokes_jump_quadrature(0.5, su.SeriesKind.PSI, 0.15)
-    assert len(calls) > 10
+    assert 1 < len(calls) <= 4
+
+
+def _refusal_bound(segments):
+    """Panels a refusal may cost: the first call, and at most _MAX_DEPTH + 1 full batches."""
+    return 3 * segments + 2 * quad._BATCH * (quad._MAX_DEPTH + 1)
 
 
 def test_tolerance_below_the_rounding_floor_is_refused_promptly(monkeypatch):
     # at 1e-16 rounding keeps some panel's estimate just above its budget; the walk
     # must refuse at the depth limit, not bisect the whole tree below it
-    calls = []
-    panel = quad.gl_panel
-
-    def counted(*args):
-        calls.append(1)
-        if len(calls) > 1000:
-            raise RuntimeError("more than 1000 gl_panel calls")
-        return panel(*args)
-
-    monkeypatch.setattr(quad, "gl_panel", counted)
+    calls, segments = _record_panels(monkeypatch, borel)
     query = su.LaplaceQuery(0.5, su.SeriesKind.PSI, 0.1, math.pi / 12, 1e-16)
     with pytest.raises(ToleranceError, match="stalled"):
         su.laplace_sum(query)
     assert len(calls) <= 1000
+    assert sum(map(len, calls)) <= _refusal_bound(*segments)
+
+
+def test_two_pole_integral_refuses_a_tolerance_below_rounding_in_bounded_panels(monkeypatch):
+    # a walk that bisects every failing panel of a level at once doubles its panels at
+    # each level here and runs out of memory
+    calls, segments = _record_panels(monkeypatch, perturbed)
+    with pytest.raises(ToleranceError, match="stalled"):
+        perturbed._two_pole_integral(0.1, 2.0, 5.0, 10.0, 1e-20)
+    assert len(calls) <= 1000
+    assert sum(map(len, calls)) <= _refusal_bound(*segments)
