@@ -1,13 +1,15 @@
-"""Laplace resummation: values, asymptotic agreement, two-sided jumps."""
+"""Laplace resummation: values, asymptotic agreement, two-sided jumps, and the Hankel-loop
+jump against the lateral sums and the Borel transform."""
 
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 import stokes_unfold as su
-from stokes_unfold import LaplaceQuery, SeriesKind
-from stokes_unfold.errors import DecayConditionError, SingularDirectionError
+from stokes_unfold import LaplaceQuery, SeriesKind, borel
+from stokes_unfold.errors import DecayConditionError, SingularDirectionError, ToleranceError
 
 # high-precision values of the defining ray integral (30-digit quadrature
 # of (1 -+ zeta)^(-nu) e^(-zeta/x) along the stated ray, divided by x)
@@ -161,3 +163,56 @@ def test_jump_quadrature_matches_closed_forms(nu):
 
 def test_jump_zero_for_terminating_case():
     assert abs(su.stokes_jump_quadrature(-1.0, SeriesKind.PSI, 0.15)) <= 1e-8
+
+
+def test_jump_at_the_rounding_floor_is_never_a_silent_zero():
+    # at tol 1e-14 the lateral-sum difference returned exactly 0j for nu = 0.005, x = 0.02
+    closed = su.jump_coefficient_closed(0.005, SeriesKind.PSI)
+    for tol in (1e-14, 1e-16):
+        try:
+            c = su.stokes_jump_quadrature(0.005, SeriesKind.PSI, 0.02, tol=tol)
+        except ToleranceError:
+            continue
+        assert abs(c - closed) <= 1e-9 * abs(closed), tol
+    with pytest.raises(ToleranceError):
+        su.stokes_jump_quadrature(0.005, SeriesKind.PSI, 0.02, tol=1e-20)
+
+
+def _lateral_factor(nu, kind, x):
+    """x^nu e^(+-1/x) on the branch of ``stokes_jump_quadrature``: principal for PSI,
+    arg x in (-2 pi, 0) for PHI."""
+    if kind is SeriesKind.PSI:
+        return cmath.exp(nu * cmath.log(x) + 1.0 / x)
+    a = cmath.phase(x)
+    return cmath.exp(nu * (math.log(abs(x)) + 1j * (a - 2.0 * math.pi if a > 0.0 else a)) - 1.0 / x)
+
+
+def test_lateral_sum_difference_matches_the_jump():
+    # each lateral sum is within tol absolute, so their difference times x^nu e^(+-1/x) is
+    # within 2 tol |x^nu e^(+-1/x)| of the jump, here taken at tol 1e-13 (relative)
+    rng = np.random.default_rng(24)
+    for j in range(16):
+        kind = (SeriesKind.PSI, SeriesKind.PHI)[j % 2]
+        nu, tol = rng.uniform(0.0, 4.0), (1e-8, 1e-10)[j // 2 % 2]
+        x = rng.uniform(0.1, 0.3) * cmath.exp(1j * rng.uniform(-0.5, 0.5)) * (1 if j % 2 == 0 else -1)
+        plus, minus = su.two_sided_values(nu, kind, x, tol)
+        factor = _lateral_factor(nu, kind, x)
+        jump = su.stokes_jump_quadrature(nu, kind, x, tol=1e-13)
+        assert abs((minus - plus) * factor - jump) <= 2 * tol * abs(factor), (nu, kind, x, tol)
+
+
+def test_loop_integrand_is_the_borel_transform_times_the_laplace_kernel():
+    # on tau = -|x| mu p^2, p = 1 + i theta, zeta = 1 + tau: the integrand plus the nu = 0
+    # loop p e^(k p^2) is p (|x| mu)^nu (1 - zeta)^(-nu) e^((1 - zeta)/x)
+    for nu, x in ((0.5, 0.15), (1.0 / 3.0, 0.05 + 0.1j), (3.7, 0.2 * cmath.exp(-1.1j)), (2.0 - 0.5j, 0.3)):
+        nu, x = complex(nu), complex(x)
+        mu, w = borel._hankel_parabola(nu, cmath.phase(x))
+        k = mu * cmath.exp(-1j * cmath.phase(x))
+        theta = np.array([-0.8 * w, -2.0, -0.5, 0.7, 3.0, 0.9 * w])
+        values = borel._loop_integrand(nu, k)(theta)
+        for t, value in zip(theta, values):
+            p = 1.0 + 1j * t
+            tau = -abs(x) * mu * p * p
+            kernel = cmath.exp(-tau / x)
+            expected = p * (abs(x) * mu) ** nu * su.borel_transform_value(nu, SeriesKind.PSI, 1.0 + tau) * kernel
+            assert abs(value + p * kernel - expected) <= 1e-13 * abs(p * kernel) * max(1.0, abs(p) ** (-2 * nu.real)), (nu, x, t)

@@ -1,6 +1,6 @@
 """The quadrature engine: adaptive Gauss-Legendre chains against closed forms, the
 panels they evaluate and how they batch them, and their refusal of a tolerance below
-the rounding floor."""
+the rounding floor; the nested trapezoid rule's sums, nodes, estimates and refusals."""
 
 import math
 
@@ -123,10 +123,20 @@ def test_chain_evaluates_the_panels_of_a_one_panel_walk(monkeypatch):
     assert abs(value - reference) <= 2 * EPS * scale
 
 
-def test_stokes_jump_batches_its_panels(monkeypatch):
+def test_lateral_sums_batch_their_panels(monkeypatch):
     calls, _ = _record_panels(monkeypatch, borel)
-    su.stokes_jump_quadrature(0.5, su.SeriesKind.PSI, 0.15)
+    su.two_sided_values(0.5, su.SeriesKind.PSI, 0.15)
     assert 1 < len(calls) <= 4
+
+
+def test_stokes_jump_sums_one_loop_without_panels(monkeypatch):
+    calls, _ = _record_panels(monkeypatch, borel)
+    nodes, trapezoid = [], quad.trapezoid
+    monkeypatch.setattr(borel, "trapezoid", lambda f, w, rtol: trapezoid(
+        lambda theta: nodes.append(theta) or f(theta), w, rtol))
+    su.stokes_jump_quadrature(0.5, su.SeriesKind.PSI, 0.15, tol=1e-10)
+    assert calls == []
+    assert 1 <= len(nodes) <= 2
 
 
 def _refusal_bound(segments):
@@ -153,3 +163,51 @@ def test_two_pole_integral_refuses_a_tolerance_below_rounding_in_bounded_panels(
         perturbed._two_pole_integral(0.1, 2.0, 5.0, 10.0, 1e-20)
     assert len(calls) <= 1000
     assert sum(map(len, calls)) <= _refusal_bound(*segments)
+
+
+def _gaussian(a, b):
+    """int over the real line of e^(-a t^2 + b t), Re a > 0."""
+    return complex(np.sqrt(np.pi / a) * np.exp(b * b / (4 * a)))
+
+
+@pytest.mark.parametrize("rtol", [1e-6, 1e-10, 1e-13])
+def test_trapezoid_sums_gaussians_within_the_request(rtol):
+    # e^(-a t^2) with Re a >= 0.5 is below e^-40 past |t| = 9
+    for a, b in ((1.0, 0.0), (0.5 + 0.3j, 1.0 - 2.0j), (2.0 - 1.0j, 3.0j)):
+        exact = _gaussian(a, b)
+        value, err = quad.trapezoid(lambda t: np.exp(-a * t * t + b * t), 9.0, rtol)
+        assert err <= rtol * abs(value)
+        assert abs(value - exact) <= rtol * abs(exact)
+        if rtol >= 1e-10:  # above the rounding floor the halving estimate bounds the error
+            assert abs(value - exact) <= err
+
+
+def test_trapezoid_doubles_on_nested_nodes():
+    # a pole 0.2 off the line takes several doublings; each call holds only new nodes
+    nodes = []
+    f = lambda t: nodes.append(t) or np.exp(-t * t) / (t * t + 0.04)
+    quad.trapezoid(f, 7.0, 1e-12)
+    n0 = quad._TRAP_N0
+    assert len(nodes) > 2
+    assert [len(t) for t in nodes] == [2 * n0 + 1] + [2 * n0 * 2**j for j in range(len(nodes) - 1)]
+    n = n0 * 2 ** (len(nodes) - 1)
+    assert np.sort(np.concatenate(nodes)) == pytest.approx(np.linspace(-7.0, 7.0, 2 * n + 1), abs=1e-12)
+
+
+def test_trapezoid_refuses_below_the_rounding_floor_at_once():
+    calls = []
+    f = lambda t: calls.append(t) or np.exp(-t * t)
+    with pytest.raises(ToleranceError, match="rounding"):
+        quad.trapezoid(f, 7.0, 1e-17)
+    assert len(calls) <= 2
+
+
+def test_trapezoid_refuses_past_its_node_cap():
+    # a pole 1e-4 off the line needs a step of about 1e-5, far finer than the cap allows
+    with pytest.raises(ToleranceError, match="halving"):
+        quad.trapezoid(lambda t: 1.0 / (t * t + 1e-8), 7.0, 1e-10)
+
+
+def test_trapezoid_refuses_a_non_finite_integrand():
+    with pytest.raises(ToleranceError, match="not finite"):
+        quad.trapezoid(lambda t: np.where(t > 1.0, np.inf, 1.0), 7.0, 1e-8)

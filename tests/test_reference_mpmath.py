@@ -9,7 +9,7 @@ import pytest
 
 import stokes_unfold as su
 from stokes_unfold.borel import LaplaceQuery, laplace_sum
-from stokes_unfold.errors import DoubleRangeError, SingularDirectionError
+from stokes_unfold.errors import DoubleRangeError, SingularDirectionError, ToleranceError
 from stokes_unfold.perturbed import OffDiagonal, PerturbParams
 
 mp = pytest.importorskip("mpmath")
@@ -186,3 +186,53 @@ def test_stokes_matrix_entries_within_1e13():
                 exact = complex(exact)
                 value = su.stokes_matrix(nu, direction)[entry]
                 assert abs(value - exact) <= 1e-13 * abs(exact), (nu, direction)
+
+
+def _jump_closed(nu, kind):
+    """-2 pi i / Gamma(nu), times e^(-i pi nu) for PHI, at 30 digits."""
+    with mp.workdps(30):
+        value = -2j * mp.pi * mp.rgamma(mp.mpf(nu))
+        return complex(value * mp.expjpi(-mp.mpf(nu)) if kind is su.SeriesKind.PHI else value)
+
+
+def _jump_error(nu, kind, x, tol):
+    exact = _jump_closed(nu, kind)
+    return abs(su.stokes_jump_quadrature(nu, kind, x, tol=tol) - exact) / abs(exact)
+
+
+@pytest.mark.parametrize("kind", list(su.SeriesKind), ids=lambda k: k.name)
+@pytest.mark.parametrize("radius", [0.02, 0.05, 0.1278, 0.3])
+def test_stokes_jump_within_1e9_on_real_x(kind, radius):
+    # the lateral-sum difference was off by 8.4e8 relative at nu = 0.005, x = 0.02; at
+    # nu = 1e-12 the nu = 0 loop must come off exactly (exp - 1 for expm1 misses by 7e-6)
+    x = radius if kind is su.SeriesKind.PSI else -radius
+    for nu in (1e-12, 1e-6, 0.005, 0.01, 1.0 / 3.0, 0.5, 2.0, 3.7):
+        for tol in (1e-8, 1e-10, 1e-12):
+            assert _jump_error(nu, kind, x, tol) <= 1e-9, (nu, tol)
+
+
+@pytest.mark.parametrize("kind", list(su.SeriesKind), ids=lambda k: k.name)
+def test_stokes_jump_within_1e7_next_to_nu_zero(kind):
+    # the jump of the resum workload's seed 32 that missed at 5.3e-6
+    x = 0.1278 if kind is su.SeriesKind.PSI else -0.1278
+    for tol in (1e-8, 1e-10, 1e-12):
+        assert _jump_error(3.47357e-8, kind, x, tol) <= 1e-7, tol
+
+
+def test_stokes_jump_within_1e9_on_complex_x():
+    # PSI at |arg x| <= 1.2, PHI at |arg(-x)| <= 1.2: both half-planes, the lower-edge branch
+    rng = np.random.default_rng(24)
+    for j in range(60):
+        kind = (su.SeriesKind.PSI, su.SeriesKind.PHI)[j % 2]
+        nu = rng.uniform(0.0, 4.0) if j % 3 else 10.0 ** rng.uniform(-6.0, -1.0)
+        x = rng.uniform(0.02, 0.3) * cmath.exp(1j * rng.uniform(-1.2, 1.2))
+        x = x if kind is su.SeriesKind.PSI else -x
+        tol = (1e-8, 1e-10, 1e-12)[j // 3 % 3]
+        assert _jump_error(nu, kind, x, tol) <= 1e-9, (nu, kind, x, tol)
+
+
+def test_stokes_jump_refuses_what_it_cannot_certify():
+    # below the rounding floor, and where c -> 0 next to a negative integer nu
+    for nu, tol in ((0.5, 1e-17), (3.7, 1e-16), (-1.0 + 1e-8, 1e-10), (-2.0 - 1e-6, 1e-10)):
+        with pytest.raises(ToleranceError):
+            su.stokes_jump_quadrature(nu, su.SeriesKind.PSI, 0.15, tol=tol)
