@@ -35,17 +35,27 @@ def _bounded(err, bound, note=""):
     return bool(err <= bound), detail
 
 
-def _random_nu(rng, scale=20.0, keep_clear_of_integers=True):
-    # rng.uniform(-scale, scale) bit for bit (numpy forms low + range * next_double),
-    # without the argument handling that made up most of a scalar uniform call
+def _random_nus(rng, count, scale=20.0, keep_clear_of_integers=True):
+    """count uniform draws from the disc |nu| <= scale, with keep_clear_of_integers outside
+    the squares of half-side 0.05 about the integers, by rejection.  A batch rng.random(2 k)
+    holds the doubles of 2 k scalar calls in order and holds only the pairs still missing,
+    so the numbers, and where the stream stands after them, do not depend on the batching;
+    width u - scale is rng.uniform(-scale, scale) bit for bit."""
     width = 2.0 * scale
-    while True:
-        z = complex(width * rng.random() - scale, width * rng.random() - scale)
-        if abs(z) > scale:
-            continue
-        if keep_clear_of_integers and (abs(z.real - round(z.real)) < 0.05 and abs(z.imag) < 0.05):
-            continue
-        return z
+    out = []
+    while len(out) < count:
+        u = (width * rng.random(2 * (count - len(out))) - scale).tolist()
+        for z in map(complex, u[::2], u[1::2]):
+            if abs(z) > scale:
+                continue
+            if keep_clear_of_integers and abs(z.real - round(z.real)) < 0.05 and abs(z.imag) < 0.05:
+                continue
+            out.append(z)
+    return out
+
+
+def _random_nu(rng, scale=20.0, keep_clear_of_integers=True):
+    return _random_nus(rng, 1, scale, keep_clear_of_integers)[0]
 
 
 # ---------------------------------------------------------------- gamma core
@@ -53,8 +63,7 @@ def _random_nu(rng, scale=20.0, keep_clear_of_integers=True):
 
 def check_gamma_reflection(rng):
     worst = 0.0
-    for _ in range(1000):
-        z = _random_nu(rng)
+    for z in _random_nus(rng, 1000):
         ref = math.pi / cmath.sin(math.pi * z)
         worst = max(worst, abs(gamma(z) * gamma(1.0 - z) - ref) / abs(ref))
     return _bounded(worst, 1e-10)
@@ -62,8 +71,7 @@ def check_gamma_reflection(rng):
 
 def check_gamma_recurrence(rng):
     worst = 0.0
-    for _ in range(1000):
-        z = _random_nu(rng)
+    for z in _random_nus(rng, 1000):
         g1 = gamma(z + 1.0)
         worst = max(worst, abs(g1 - z * gamma(z)) / abs(g1))
     return _bounded(worst, 1e-11)
@@ -71,8 +79,7 @@ def check_gamma_recurrence(rng):
 
 def check_reciprocal_product(rng):
     worst = 0.0
-    for _ in range(500):
-        z = _random_nu(rng)
+    for z in _random_nus(rng, 500):
         worst = max(worst, abs(reciprocal_gamma(z) * gamma(z) - 1.0))
     return _bounded(worst, 1e-11)
 

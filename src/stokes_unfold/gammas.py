@@ -41,31 +41,22 @@ _MIDPOINT_ROWS = tuple(tuple(math.comb(2 * j + 1, 2 * i) * _BERNOULLI_HALF[i] fo
 _SERIES_MIN_Z = 8.0  # midpoint Re z from which log_gamma_ratio sums the series
 
 _LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def _lanczos(z: complex) -> complex:
-    # valid for Re z >= 0.5
+    # valid for Re z >= 0.5; the standard nine coefficients for g = 7, summed left to right
     w = z - 1.0
-    acc = _LANCZOS[0]
-    for i in range(1, len(_LANCZOS)):
-        acc += _LANCZOS[i] / (w + i)
+    acc = (0.99999999999980993 + 676.5203681218851 / (w + 1) - 1259.1392167224028 / (w + 2)
+           + 771.32342877765313 / (w + 3) - 176.61502916214059 / (w + 4)
+           + 12.507343278686905 / (w + 5) - 0.13857109526572012 / (w + 6)
+           + 9.9843695780195716e-6 / (w + 7) + 1.5056327351493116e-7 / (w + 8))
     t = w + _LANCZOS_G + 0.5
     try:
         power = t ** (w + 0.5)
     except OverflowError:
         raise ValueError(f"Gamma({z}) overflows its Lanczos power; |Re z| must stay below about 142") from None
-    return math.sqrt(2.0 * math.pi) * power * cmath.exp(-t) * acc
+    return _SQRT_2PI * power * cmath.exp(-t) * acc
 
 
 def gamma(z) -> complex:

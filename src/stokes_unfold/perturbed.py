@@ -28,15 +28,16 @@ from .errors import (
     PathError,
     ResonanceError,
     SingularPointError,
+    ToleranceError,
 )
 from .gammas import log_gamma_ratio, reciprocal_gamma
 from .mat3 import exp_first_row_nilpotent
-from .quad import integrate_chain
+from .quad import integrate_chain, trapezoid
 from .unperturbed import exponent_diagonals
 
 INTEGRALITY_TOL = 1e-9
 _SINGULARITY_MARGIN = 1e-12
-_RESIDUE_NODES = 4096
+_ORACLE_ALIAS_INDEX = 64  # nodes on the period at quad.trapezoid's first level
 _LOG_DBL_MIN, _LOG_DBL_MAX = math.log(sys.float_info.min), math.log(sys.float_info.max)
 
 
@@ -387,33 +388,51 @@ def _side_column(which: str) -> int:
     return 0 if which == "R" else 1
 
 
-def residue_numeric_oracle(params: PerturbParams, which: str) -> complex:
+def residue_numeric_oracle(params: PerturbParams, which: str, tol: float = 1e-10) -> complex:
     """Contour-integral evaluation of d_L2 (``which`` "L") or d_R3 (``which`` "R").
 
-    Gated as ``residues`` is.  Trapezoid rule with 4096 points on a circle of radius
-    sqrt(eps)/2 around the side's singular point.  The pole factor has the integer exponent
-    n+1 and winds harmlessly; the other factor keeps a positive real part on the circle, so
-    it is a principal power: (x + sqrt(eps))^p for R3, and e^{-i pi p} (sqrt(eps) - x)^p for
-    L2, i.e. arg(x - sqrt(eps)) = -pi on the negative real axis, as the closed forms need.
+    Gated as ``residues`` is.  d is the prefactor times the mean over the circle u =
+    (sqrt(eps)/2) e^{i phi} around the side's singular point of (2 sqrt(eps) +- u)^p u^{-n},
+    summed by ``quad.trapezoid`` over phi in [-pi, pi]: the periodic rule, 64 nodes on its
+    first level.  The pole factor has the integer exponent n and winds harmlessly; the other
+    factor keeps a positive real part on the circle, so it is a principal power: (x +
+    sqrt(eps))^p for R3, and e^{-i pi p} (sqrt(eps) - x)^p for L2, i.e. arg(x - sqrt(eps)) =
+    -pi on the negative real axis, as the closed forms need.
 
-    Accuracy, against 30-digit closed forms for both sides and nu in {1/2, 2, 3.3, 0.37,
-    -0.5, 1.3, 2.71, 3.6}: within 1e-10 relative for n <= 5 and 1e-7 for n <= 10
-    (measured 2.5e-12 and 1.8e-8).  The error is roundoff on the circle; past n ~ 10 it
-    grows about tenfold per index (2.7e-7 at n = 11, 2.1e-4 at n = 15, above 1 at n = 20),
-    and nothing is raised.
+    The value is returned only where the rule certifies an error within tol max(|d|, 1):
+    relative to d, with an absolute floor of tol where |d| < 1, so that an exact zero (nu =
+    -1, n = 2) is computed, not refused.  Elsewhere it raises ToleranceError.  The error is
+    roundoff on the circle (the aliasing is below 4^-32), and the sum cancels more with each
+    index, so the rounding estimate refuses tol 1e-10 from n = 6 to 10, and tol 1e-7 from
+    n = 9 to 15, depending on nu; every n <= 11 is returned from tol 1e-5.
+    Against 30-digit closed forms for nu in {1/2, 2, 3.3, 0.37, -0.5}, n in {1..20, 50, 100}
+    and both sides, every n <= 5 is returned at tol 1e-10, and each value returned takes one
+    call of 65 nodes, is within 1.5e-12, and is off by at most a quarter of the rule's own
+    estimate.  From n = 64 on, the first level's 64 nodes would see u^-n as u^-(n - 64), with
+    the nested 32 nodes agreeing on that alias, so such n are refused before the sum.
     """
     left = _side_column(which) == 1
     n = resonance_index(params)
+    if n >= _ORACLE_ALIAS_INDEX:
+        raise ToleranceError(f"resonance index {n} is not below the {_ORACLE_ALIAS_INDEX} nodes of "
+                             f"the trapezoid rule's first level, which would alias u^-n")
     s = params.sqrt_eps
-    z = 1.0 / (2.0 * s)
-    p = z + params.nu / 2.0 - 1.0  # branch-point exponent (integer only in class B)
-    r = s / 2.0
-    phi = 2.0 * math.pi * np.arange(_RESIDUE_NODES) / _RESIDUE_NODES
-    u = r * np.exp(1j * phi)  # x - x_j on the circle
+    p = 1.0 / (2.0 * s) + params.nu / 2.0 - 1.0  # branch-point exponent (integer only in class B)
     sign, prefactor = (-1.0, cmath.exp(-1j * math.pi * p)) if left else (1.0, -0.5)
-    outer = (2.0 * s + sign * u) ** p  # sqrt(eps) - x for L2, x + sqrt(eps) for R3
-    total = (r / _RESIDUE_NODES) * np.sum(outer * u ** (-(n + 1)) * np.exp(1j * phi))
-    return prefactor * complex(total)
+    # (2 sqrt(eps) +- u)^p u^-n = scale (1 +- w/4)^p w^-n with w = e^{i phi}: the power of the
+    # small 2 sqrt(eps), whose logarithm would scale the rounding of every term, is one
+    # constant, scale = (2 sqrt(eps))^p r^-n = 4^n (2 sqrt(eps))^(p - n)
+    scale = 4.0 ** n * (2.0 * s) ** (p - n)
+
+    def integrand(phi):
+        w = np.exp(1j * phi)
+        return scale * (1.0 + sign * 0.25 * w) ** p * w ** -n
+
+    # each term is within (3 (n + |p|) + 4) eps of its value at the exact node: n + |p|/3
+    # from the node's rounding, n + 2 log2(n) from w^-n, 1.3 |p| from the power, 4 for the rest
+    total, _ = trapezoid(integrand, math.pi, tol, atol=tol * 2.0 * math.pi / abs(prefactor),
+                         cond=3.0 * (n + abs(p)) + 4.0)
+    return prefactor * total / (2.0 * math.pi)
 
 
 def monodromy_exponent_factor(params: PerturbParams, side: str) -> np.ndarray:

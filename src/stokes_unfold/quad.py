@@ -12,9 +12,9 @@ grades the breaks geometrically toward the endpoint
 (``perturbed._two_pole_integral``).
 
 ``trapezoid`` serves integrands analytic in a strip about the real line and
-negligible past its ends, where the rule converges geometrically in the node
-count (Trefethen & Weideman, SIAM Rev. 56, 2014); it reports its own error
-estimate and refuses what it cannot certify.
+either negligible past its ends or periodic, where the rule converges
+geometrically in the node count (Trefethen & Weideman, SIAM Rev. 56, 2014); it
+reports its own error estimate and refuses what it cannot certify.
 """
 
 from __future__ import annotations
@@ -109,18 +109,22 @@ def integrate_chain(f, points, tol_abs: float) -> complex:
     return total
 
 
-def trapezoid(f, w: float, rtol: float) -> tuple[complex, float]:
+def trapezoid(f, w: float, rtol: float, atol: float = 0.0, cond: float = 1.0) -> tuple[complex, float]:
     """Trapezoid sum of f over [-w, w] with 2n + 1 equispaced nodes, n = _TRAP_N0 doubled on
     nested nodes: each doubling calls f once, on the new midpoints only.  Returns the sum of
     the first level whose halving estimate |T_n - T_(n/2)| (T_(n/2) sums every other node,
-    no new evaluation) and rounding estimate eps h sum |terms| both lie within rtol |T_n|,
-    with the larger of the two as its error estimate.
+    no new evaluation) and rounding estimate cond eps h sum |terms| both lie within the
+    request max(rtol |T_n|, atol), with the larger of the two as its error estimate.  cond
+    bounds the relative error of each computed term in units of eps, so that the estimate
+    bounds the error also where a term carries more than one ulp; dividing rtol and atol by
+    cond instead would make the same rounding test, but return an estimate short of it.
 
     The rounding estimate does not fall as n grows, so a level whose halving estimate is
     already below it refuses a request below it with ToleranceError; so do a halving
     estimate still above the request at n = _TRAP_CAP and a term that is not finite.  f
     maps a numpy array of nodes to the array of its values, and must be negligible at
-    +-w: the sum does not see past them."""
+    +-w, since the sum does not see past them, or 2w-periodic: then the two end nodes are
+    one point whose half weights add up, and the sum is the periodic rule with 2n nodes."""
     def evaluate(theta):
         values = f(theta)
         if not np.isfinite(values).all():
@@ -134,13 +138,14 @@ def trapezoid(f, w: float, rtol: float) -> tuple[complex, float]:
     while True:
         total = h * (values.sum() - 0.5 * (values[0] + values[-1]))
         halving = abs(total - coarse)
-        rounding = _EPS * h * float(np.abs(values).sum())
-        request = rtol * abs(total)
+        rounding = cond * _EPS * h * float(np.abs(values).sum())
+        request = max(rtol * abs(total), atol)
         if max(halving, rounding) <= request:
             return complex(total), max(halving, rounding)
         if halving <= rounding:
+            bound = f"atol {atol:g}" if atol > rtol * abs(total) else f"rtol {rtol:g}"
             raise ToleranceError(f"trapezoid rounding estimate {rounding:.3e} exceeds the "
-                                 f"request {request:.3e} (rtol {rtol:g})")
+                                 f"request {request:.3e} ({bound})")
         if 2 * n > _TRAP_CAP:
             raise ToleranceError(f"trapezoid halving estimate {halving:.3e} exceeds the "
                                  f"request {request:.3e} at n = {n}")

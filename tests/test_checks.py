@@ -11,6 +11,7 @@ the exact series residual in ``test_series.py``).  A new property goes into
 
 import inspect
 
+import numpy as np
 import pytest
 
 from stokes_unfold import checks
@@ -35,3 +36,26 @@ def test_registry_runs_every_check_once(results):
     listed = [fn.__name__ for _, fn in checks.ALL_CHECKS]
     assert sorted(listed) == defined
     assert len({r.name for r in results}) == len(results) == len(checks.ALL_CHECKS) == 28
+
+
+def test_batched_nu_draws_are_the_scalar_draws():
+    # the checks draw their nu in batches; the numbers, and where the stream stands after
+    # them, are those of the scalar rejection loop, transcribed, one uniform pair at a time
+    def scalar_nu(rng, scale, keep_clear_of_integers):
+        while True:
+            z = complex(rng.uniform(-scale, scale), rng.uniform(-scale, scale))
+            if abs(z) > scale:
+                continue
+            if keep_clear_of_integers and abs(z.real - round(z.real)) < 0.05 and abs(z.imag) < 0.05:
+                continue
+            return z
+
+    for seed in range(20):
+        for count, scale, clear in ((500, 20.0, True), (1, 5.0, True), (60, 3.0, False)):
+            batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+            if count == 1:
+                drawn = [checks._random_nu(batched, scale, clear)]
+            else:
+                drawn = checks._random_nus(batched, count, scale, clear)
+            assert drawn == [scalar_nu(scalar, scale, clear) for _ in range(count)]
+            assert batched.random() == scalar.random()

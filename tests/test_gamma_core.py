@@ -1,11 +1,13 @@
 """Gamma machinery and the 3x3 matrix helpers."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 
 import stokes_unfold as su
+from stokes_unfold import gammas
 from stokes_unfold.errors import GammaPoleError, MatrixShapeError, SingularMatrixError
 from stokes_unfold.mat3 import invertible_det3
 
@@ -52,6 +54,29 @@ def test_invertible_det3_threshold_is_scale_aware():
     for scale in (1.0, 1e6, 1e-6):
         with pytest.raises(SingularMatrixError):
             invertible_det3(scale * singular)
+
+
+def test_lanczos_sum_written_out_keeps_every_bit():
+    # the loop form of the Lanczos sum, transcribed: _lanczos writes the same nine terms out
+    # in the same order, and must give the same bits
+    coefficients = (
+        0.99999999999980993, 676.5203681218851, -1259.1392167224028, 771.32342877765313,
+        -176.61502916214059, 12.507343278686905, -0.13857109526572012, 9.9843695780195716e-6,
+        1.5056327351493116e-7,
+    )
+
+    def loop_form(z):
+        w = z - 1.0
+        acc = coefficients[0]
+        for i in range(1, len(coefficients)):
+            acc += coefficients[i] / (w + i)
+        t = w + 7.0 + 0.5
+        return math.sqrt(2.0 * math.pi) * t ** (w + 0.5) * cmath.exp(-t) * acc
+
+    rng = np.random.default_rng(25)
+    for re, im in zip(rng.uniform(0.5, 140.0, 20000).tolist(), rng.uniform(-60.0, 60.0, 20000).tolist()):
+        z = complex(re, im)
+        assert repr(gammas._lanczos(z)) == repr(loop_form(z)), z
 
 
 def test_matmul_associative_at_unit_scale():

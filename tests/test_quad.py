@@ -211,3 +211,36 @@ def test_trapezoid_refuses_past_its_node_cap():
 def test_trapezoid_refuses_a_non_finite_integrand():
     with pytest.raises(ToleranceError, match="not finite"):
         quad.trapezoid(lambda t: np.where(t > 1.0, np.inf, 1.0), 7.0, 1e-8)
+
+
+def test_trapezoid_is_the_periodic_rule_on_a_period():
+    # over [-pi, pi] the two end nodes are one point: e^(cos t) has the mean I_0(1), and the
+    # 64-node rule is exact to roundoff, from the first call
+    calls = []
+    value, err = quad.trapezoid(lambda t: calls.append(t.size) or np.exp(np.cos(t)), math.pi, 1e-14)
+    assert calls == [2 * quad._TRAP_N0 + 1]
+    assert abs(value - 2.0 * math.pi * 1.2660658777520082) <= 1e-14 * abs(value)
+    # an integral that vanishes exactly cancels to roundoff, which only an absolute floor
+    # on the request can certify
+    wave = lambda t: np.exp(3j * t) * (2.0 + np.cos(t)) ** -1
+    with pytest.raises(ToleranceError, match="rounding"):
+        quad.trapezoid(lambda t: np.exp(3j * t), math.pi, 1e-10)
+    value, err = quad.trapezoid(lambda t: np.exp(3j * t), math.pi, 1e-10, atol=1e-12)
+    assert abs(value) <= err <= 1e-12
+    # and cond scales the rounding estimate, where it is the larger of the two
+    _, err1 = quad.trapezoid(wave, math.pi, 1e-10)
+    _, err8 = quad.trapezoid(wave, math.pi, 1e-10, cond=8.0)
+    assert err8 == 8.0 * err1
+
+
+def test_trapezoid_refusal_names_the_bound_that_set_the_request():
+    # e^(3it) integrates to 0 over a period, so the request is max(rtol |T|, atol) = atol
+    # when atol > 0, and rtol |T| (at roundoff) when it is not
+    wave = lambda t: np.exp(3j * t)
+    with pytest.raises(ToleranceError, match=r"exceeds the request 1\.000e-20 \(atol 1e-20\)$"):
+        quad.trapezoid(wave, math.pi, 1e-10, atol=1e-20)
+    with pytest.raises(ToleranceError, match=r"\(rtol 1e-10\)$"):
+        quad.trapezoid(wave, math.pi, 1e-10)
+    # where rtol |T| is the larger, the message names rtol although atol is set
+    with pytest.raises(ToleranceError, match=r"\(rtol 1e-17\)$"):
+        quad.trapezoid(lambda t: np.exp(np.cos(t)), math.pi, 1e-17, atol=1e-30)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import stokes_unfold as su
+from stokes_unfold import perturbed, quad
 from stokes_unfold.borel import LaplaceQuery, laplace_sum
 from stokes_unfold.errors import DoubleRangeError, SingularDirectionError, ToleranceError
 from stokes_unfold.perturbed import OffDiagonal, PerturbParams
@@ -236,3 +237,44 @@ def test_stokes_jump_refuses_what_it_cannot_certify():
     for nu, tol in ((0.5, 1e-17), (3.7, 1e-16), (-1.0 + 1e-8, 1e-10), (-2.0 - 1e-6, 1e-10)):
         with pytest.raises(ToleranceError):
             su.stokes_jump_quadrature(nu, su.SeriesKind.PSI, 0.15, tol=tol)
+
+
+def _residue_closed(nu, n, side):
+    """d_L2 = e^{i pi (1 - nu)} w and d_R3 = -w/2, w = z^{1-nu} (nu)_n / n! with z = n + nu/2,
+    at 30 digits."""
+    with mp.workdps(30):
+        nu = mp.mpf(nu)
+        w = (n + nu / 2) ** (1 - nu) * mp.rf(nu, n) / mp.factorial(n)
+        return complex(mp.expjpi(1 - nu) * w if side == "L" else -w / 2)
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-8])
+def test_residue_oracle_within_tol_or_refused(tol, monkeypatch):
+    # each value is within tol max(|d|, 1) of the closed form and within the rule's own
+    # estimate, scaled onto d (the prefactor is 1/2 for R, of modulus 1 for L), from one
+    # call of 65 nodes; the rest raise ToleranceError, and every n <= 5 is returned
+    calls, estimates = [], []
+
+    def recording(f, w, rtol, **kwargs):
+        value, err = quad.trapezoid(lambda phi: calls.append(phi.size) or f(phi), w, rtol, **kwargs)
+        estimates.append(err)
+        return value, err
+
+    monkeypatch.setattr(perturbed, "trapezoid", recording)
+    refused = []
+    for nu in (0.5, 2.0, 3.3, 0.37, -0.5):
+        for n in (*range(1, 21), 50, 100):
+            params = PerturbParams.from_resonant_index(nu, n)
+            for side in "LR":
+                calls.clear()
+                try:
+                    value = su.residue_numeric_oracle(params, side, tol=tol)
+                except ToleranceError:
+                    refused.append(n)
+                    continue
+                exact = _residue_closed(nu, n, side)
+                err = abs(value - exact)
+                assert err <= tol * max(abs(exact), 1.0), (nu, n, side, err)
+                assert err <= estimates[-1] * (0.5 if side == "R" else 1.0) / (2.0 * math.pi), (nu, n, side)
+                assert calls == [65], (nu, n, side, calls)
+    assert min(refused) > 5 and refused.count(50) == refused.count(100) == 10, refused
