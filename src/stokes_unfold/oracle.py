@@ -1,9 +1,9 @@
 """Independent verification engine: Taylor-series continuation of the companion
-3x3 system along contour paths, and numerical monodromy compared
-with the closed forms through conjugacy invariants (eigenvalue multisets,
-determinant, Jordan structure) rather than raw matrices, because the
-numerical frame differs from the closed-form solution frame by an unknown
-constant conjugation.
+3x3 system q Y' = P Y along contour paths by the recurrence of its polynomial pair,
+and numerical monodromy compared with the closed forms through conjugacy invariants
+(eigenvalue multisets, determinant, Jordan structure) rather than raw matrices, because
+the numerical frame differs from the closed-form solution frame by an unknown constant
+conjugation.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .mat3 import as_matrix3, identity3, invertible_det3, max_abs
 from .paths import ContourPath, circle
 from .perturbed import (
     PerturbParams,
-    _partial_fraction_weights,
     _side_column,
     characteristic_exponents,
     resonance_index,
@@ -32,51 +31,53 @@ STIFFNESS_LIMIT = 12.0
 CLEARANCE_FACTOR = 1e-3
 JORDAN_RTOL = 1e-4
 _EIG_GROUP_TOL = 1e-8
-# Taylor steps |t| <= _STEP_RATIO r sample A at _CAUCHY_POINTS points of the circle of
-# radius _SAMPLE_RATIO r about their centre, and the series stops by _CAUCHY_POINTS terms
+# Taylor steps |t| <= _STEP_RATIO r, and every step's series stops by _MAX_TERMS terms
 _STEP_RATIO = 0.3
-_SAMPLE_RATIO = 0.6
-_CAUCHY_POINTS = 64
-_POWERS = np.arange(_CAUCHY_POINTS)
-_UNIT_ROOTS = np.exp(2j * np.pi * _POWERS / _CAUCHY_POINTS)
-# row l of _DFT maps A at the sample points to its l-th coefficient (Cauchy's formula)
-_DFT = np.conj(_UNIT_ROOTS[np.outer(_POWERS, _POWERS) % _CAUCHY_POINTS]) / _CAUCHY_POINTS
+_MAX_TERMS = 64
 
 
 @dataclass(frozen=True, eq=False)
 class CompanionSystem:
-    """Y' = A(x) Y with A upper bidiagonal: ones on the superdiagonal, and on the diagonal
-    a(x) = weights @ (x - poles)^(-powers), a table fixed when the system is built.
+    """q(x) Y' = P(x) Y for a scalar polynomial q and a 3 x 3 matrix polynomial P, both
+    as coefficients in ascending powers of x padded to one length D + 1.  The companion
+    systems have D = 2, and A = P/q upper bidiagonal with ones on the superdiagonal.
     """
 
-    poles: np.ndarray
-    powers: np.ndarray
-    weights: np.ndarray  # 3 x J
+    q: np.ndarray  # D + 1
+    p: np.ndarray  # D + 1 x 3 x 3
+    poles: tuple  # the roots of q
     scale: float  # length unit of the clearance around the poles
 
     @classmethod
     def perturbed(cls, params: PerturbParams) -> "CompanionSystem":
-        """(x^2 - eps) a = Lambda x + Q as a_k = w_R/(x - x_R) + w_L/(x - x_L)."""
-        return cls(np.array([params.x_R, params.x_L], dtype=complex), np.array([1, 1]),
-                   np.array(_partial_fraction_weights(params), dtype=complex), params.sqrt_eps)
+        """q = x^2 - eps and P = Lambda x + Q + q N, N the ones of the superdiagonal."""
+        return cls._pair(params.nu, params.sqrt_eps**2, (complex(params.x_L), complex(params.x_R)),
+                         params.sqrt_eps)
 
     @classmethod
     def unperturbed(cls, nu) -> "CompanionSystem":
-        """x^2 a = Lambda x + Q as a = Lambda/x + Q/x^2: irregular at the origin."""
-        return cls(np.zeros(2, dtype=complex), np.array([1, 2]), np.transpose(exponent_diagonals(nu)), 1.0)
+        """q = x^2 and P = Lambda x + Q + q N: irregular at the origin."""
+        return cls._pair(nu, 0.0, (0j,), 1.0)
+
+    @classmethod
+    def _pair(cls, nu, eps: float, poles: tuple, scale: float) -> "CompanionSystem":
+        lam, q_diag = exponent_diagonals(nu)
+        q = np.array([-eps, 0.0, 1.0], dtype=complex)
+        p = q[:, None, None] * np.eye(3, k=1) + [np.diag(q_diag), np.diag(lam), np.zeros((3, 3))]
+        return cls(q, p, poles, scale)
 
     def matrix(self, x) -> np.ndarray:
-        """A(x) at a point, or the (m, 3, 3) stack of A at the m points of a 1-D array."""
-        xs = np.atleast_1d(x)
-        terms = (xs - self.poles[:, None]) ** -self.powers[:, None]  # J x m
-        a = np.zeros((xs.size, 3, 3), dtype=complex)
-        # einsum, not matmul: BLAS rounds a stack of points differently from a single one
-        a.reshape(-1, 9)[:, ::4] = np.einsum("kj,jm->mk", self.weights, terms)
-        a[:, 0, 1] = a[:, 1, 2] = 1.0
+        """A(x) = P(x)/q(x) at a point, or the (m, 3, 3) stack of A at the m points of a 1-D
+        array; elementwise Horner steps, so a stack rounds as its points one by one."""
+        xs = np.atleast_1d(x)[:, None, None]
+        p, q = self.p[-1], self.q[-1]
+        for pk, qk in zip(self.p[-2::-1], self.q[-2::-1]):
+            p, q = p * xs + pk, q * xs + qk
+        a = p / q
         return a if np.ndim(x) else a[0]
 
     def singularities(self) -> tuple:
-        return tuple(complex(p) for p in np.unique(self.poles))
+        return self.poles
 
     def clearance(self) -> float:
         return CLEARANCE_FACTOR * self.scale
@@ -97,24 +98,25 @@ def integrate_path(system: CompanionSystem, path: ContourPath, y0, tol: float = 
     """Transport the fundamental matrix along ``path`` by Taylor-series continuation.
 
     Steps t_j from centres c_j have |t_j| <= 0.3 r_j, r_j the distance from c_j to the
-    nearest singularity (the segment length when there is none).  One ``system.matrix``
-    call samples A on 64 points of the circle of radius 0.6 r_j about every centre, whose
-    DFT gives A's Taylor coefficients there.  (m+1) Y_{m+1} = sum_l A_l Y_{m-l} then runs
-    for all steps at once until, for every step j, two consecutive terms fall below
-    tol * max(1, |Phi_j|), so ``tol`` bounds each step's truncation, not the transported
-    matrix: at nu = 1/2, sqrt(eps) = 1/4, a path passing 3 clearances from x_R (weight
-    -1.75) is off by 1.2e-3 relative at tol 1e-9.  The rule is the same for every step,
-    but it is evaluated on one watched step first: the all-steps test runs after each term
-    that this step passes, its first failing step becomes the one watched, and one flag
-    keeps whether every step passed after the previous term; a refusal at the term cap
-    names the watched step.  Each term is one broadcast product of contiguous slices,
-    (n, 3, 1, 3(m+1)) @ (n, 1, 3(m+1), 3) for n steps, written into its slot: row i of
-    t A_l t^l for l < 64 lies side by side in d[j, i, 0], and the terms Y_m t^m so far
-    are stacked newest first at the end of terms[j, 0].  Raises SingularMatrixError when
-    ``y0`` fails the determinant rule of ``invertible_det3``; PathError by the clearance
-    rule of ``_steps`` (a path of zero length returns ``y0``); ToleranceError, naming the
-    segment, by the decay test of ``_taylor_coefficients`` or when a series has not
-    converged by 64 terms; ValueError unless tol > 0.
+    nearest singularity (the segment length when there is none).  About c_j the Taylor
+    coefficients of q Y' = P Y obey a recurrence of order D, the pair's degree: with
+    Z_m = Y_m t_j^m, P~_i = P_i(c_j) t_j^(i+1) and q~_i = q_i(c_j) t_j^i in powers of x - c_j,
+    q~_0 (m+1) Z_{m+1} = sum_{i<=D} P~_i Z_{m-i} - sum_{1<=i<=D} q~_i (m+1-i) Z_{m+1-i}.
+    It runs for all steps at once until, for every step j, two consecutive terms fall
+    below tol * max(1, |Phi_j|), so ``tol`` bounds each step's truncation, not the
+    transported matrix: at nu = 1/2, sqrt(eps) = 1/4, a path passing 3 clearances from x_R
+    (weight -1.75) is off by 1.2e-3 relative at tol 1e-9.  The rule is the same for every
+    step, but it is evaluated on one watched step first: the all-steps test runs after
+    each term that this step passes, its first failing step becomes the one watched, and
+    one flag keeps whether every step passed after the previous term; a refusal at the
+    term cap names the watched step.  Beside Z_m the loop keeps W_m = m Z_m, so that each
+    term costs the same: W_{m+1} is one broadcast product of contiguous slices, the rows of
+    ``_recurrence_rows`` by the last D + 1 pairs (Z, W), and Z_{m+1} = W_{m+1}/(m+1).  Raises
+    SingularMatrixError when ``y0`` fails the determinant rule of ``invertible_det3``;
+    PathError by the clearance rule of ``_steps`` (a path of zero length returns ``y0``);
+    ToleranceError, naming the segment, when a series has not converged by 64 terms (past
+    the stiffness guard, or where a step nears a singular point that the system does not
+    report); ValueError unless tol > 0.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -123,25 +125,22 @@ def integrate_path(system: CompanionSystem, path: ContourPath, y0, tol: float = 
     c, t, r, segments = _steps(path, system.singularities(), system.clearance())
     if not segments:  # a path of zero length
         return y
-    rho = _SAMPLE_RATIO * r
-    n, k = len(c), _CAUCHY_POINTS
-    # d[j, i, 0, 3l:3l+3] is row i of t A_l t^l about centre j, and terms[j, 0, 3(k-m):3(k-m+1)]
-    # is Y_m t^m, so that sum_l (t A_l t^l)(Y_{m-l} t^{m-l}) is one broadcast product of a
-    # 1 x 3(m+1) row by a 3(m+1) x 3 block, both contiguous slices, for every (j, i): numpy
-    # runs the stacked (n, 3, 3(m+1)) @ (n, 3(m+1), 3) form as n separate small products
-    d = _taylor_coefficients(system, c, rho, tol, segments)
-    d *= (t[:, None] * (t / rho)[:, None] ** _POWERS)[:, :, None]
-    d = np.ascontiguousarray(d.reshape(n, k, 3, 3).transpose(0, 2, 1, 3)).reshape(n, 3, 1, 3 * k)
-    terms = np.empty((n, 1, 3 * (k + 1), 3), dtype=complex)
-    terms[:, 0, 3 * k:] = np.eye(3)
+    rows = _recurrence_rows(system, c, t)
+    n, k, width = len(c), _MAX_TERMS, rows.shape[-1]
+    # zw[j, 0, 6(k-m):6(k-m)+6] is Z_m over W_m about centre j, newest first and zero for
+    # m < 0, so that the last D + 1 pairs are the contiguous ``width`` rows from Z_m on;
+    # numpy runs the stacked (n, 3, width) @ (n, width, 3) form as n separate small products
+    zw = np.zeros((n, 1, 6 * k + width, 3), dtype=complex)
+    zw[:, 0, 6 * k:6 * k + 3] = np.eye(3)
     phi = np.tile(np.eye(3, dtype=complex), (n, 1, 1))  # Phi after the terms so far
     # j is the watched step, and ``settled`` says that every step met the rule after the
     # previous term; its start False lets a stop come at m = 1 (tol >= 0.5 can), never at m = 0
     j, settled = 0, False
     for m in range(k):
-        term = terms[:, 0, 3 * (k - m - 1):3 * (k - m)]
-        np.matmul(d[..., :3 * (m + 1)], terms[..., 3 * (k - m):, :], out=term[:, :, None])
-        term /= m + 1
+        at = 6 * (k - m)
+        term, w = zw[:, 0, at - 6:at - 3], zw[:, 0, at - 3:at]
+        np.matmul(rows, zw[..., at:at + width, :], out=w[:, :, None])
+        np.divide(w, m + 1, out=term)
         phi += term
         if not _maybe_below(term[j], phi[j], tol):
             settled = False
@@ -153,7 +152,7 @@ def integrate_path(system: CompanionSystem, path: ContourPath, y0, tol: float = 
         j = j if settled else int(np.argmin(below))
     else:
         raise ToleranceError(f"Taylor series about {c[j]:.6g} has not converged to tol = {tol:g} "
-                             f"in {_CAUCHY_POINTS} terms on {segments[j]}")
+                             f"in {_MAX_TERMS} terms on {segments[j]}")
     for step in phi:
         y = step @ y
     return y
@@ -167,21 +166,20 @@ def _maybe_below(term, phi, tol: float) -> bool:
     return max(map(abs, term.ravel().tolist())) <= (1.0 + 1e-12) * bound
 
 
-def _taylor_coefficients(system, c, rho, tol: float, segments) -> np.ndarray:
-    """A_l rho^l, l < 64, about every centre as an (n, 64, 9) array: the DFT of A on the
-    circles.  An unreported pole inside a circle aliases onto the last two; a reported
-    double pole, at 1/0.6 of the circle's radius, leaves ~(l + 1) 0.6^l of A there."""
-    samples = system.matrix((c[:, None] + rho[:, None] * _UNIT_ROOTS).ravel())
-    samples = np.reshape(samples, (len(c), _CAUCHY_POINTS, 9))
-    coeffs = _DFT @ samples
-    tail = np.abs(coeffs[:, -2:]).max(axis=(1, 2))
-    aliased = np.flatnonzero(tail > tol * np.abs(samples).max(axis=(1, 2)))
-    if aliased.size:
-        j = aliased[0]
-        raise ToleranceError(f"Taylor coefficients of A about {c[j]:.6g} have not decayed below tol = {tol:g} on "
-                             f"{segments[j]}: either the system does not report a singular point inside the sampling "
-                             f"circle, or A's coefficients decay too slowly for {_CAUCHY_POINTS} terms at this tol")
-    return coeffs
+def _recurrence_rows(system, c, t) -> np.ndarray:
+    """The recurrence about every centre as an (n, 3, 1, 6(D+1)) array: row i of the map
+    from the pairs (Z_{m-b}, W_{m-b}), b = 0..D side by side, to q~_0 W_{m+1}, divided by
+    q~_0.  Block b holds row i of P~_b and -q~_{b+1} at column i (q~_{D+1} = 0)."""
+    n, d = len(c), len(system.q) - 1
+    i = np.arange(d + 1)
+    # shift[j, i, l] = C(l, i) c_j^(l-i) takes coefficients in x to those in x - c_j
+    shift = np.array([[math.comb(l, k) for l in i] for k in i]) * c[:, None, None] ** np.maximum(i - i[:, None], 0)
+    q = (shift @ system.q) * t[:, None] ** i
+    p = (shift @ system.p.reshape(d + 1, 9)) * (t[:, None] ** (i + 1))[:, :, None]
+    rows = np.zeros((n, 3, d + 1, 2, 3), dtype=complex)
+    rows[:, :, :, 0] = p.reshape(n, d + 1, 3, 3).transpose(0, 2, 1, 3)
+    rows[:, :, :-1, 1] = -q[:, None, 1:, None] * np.eye(3)[:, None]
+    return (rows / q[:, 0, None, None, None, None]).reshape(n, 3, 1, 6 * (d + 1))
 
 
 def _steps(path: ContourPath, singular, clearance: float) -> tuple:

@@ -77,9 +77,9 @@ def test_parse_error_exit_code(capsys):
     (("oracle", "--nu", "nan", "--which", "origin"), 2),
     (("invariants", "--nu", "nan"), 2),
     (("invariants", "--nu", "1e400"), 2),
-    (("invariants", "--nu", "143"), 3),
-    (("perturbed", "--nu", "143", "--n", "1"), 3),
-    (("confluence", "--nu", "143", "--n-min", "0", "--n-max", "3"), 3),
+    (("invariants", "--nu", "172"), 3),
+    (("perturbed", "--nu", "172", "--n", "1"), 3),
+    (("confluence", "--nu", "172", "--n-min", "0", "--n-max", "3"), 3),
 ])
 def test_bad_input_is_refused(capsys, argv, exit_code):
     # a non-positive or NaN tol, a non-finite nu and a nu whose Gamma overflows are refused

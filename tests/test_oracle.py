@@ -1,6 +1,7 @@
 """ODE-continuation oracle: the integrator itself and the monodromy reports."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -19,22 +20,12 @@ from stokes_unfold.oracle import (
 )
 from stokes_unfold.paths import Arc, ContourPath, Line, circle, polyline
 from stokes_unfold.perturbed import monodromy_exponent_factor, residue_numeric_oracle
+from stokes_unfold.unperturbed import exponent_diagonals
 
 
-class FrozenSystem:
-    """Constant-coefficient system for closed-form comparison."""
-
-    def __init__(self, a):
-        self.a = np.asarray(a, dtype=complex)
-
-    def matrix(self, x):
-        return np.broadcast_to(self.a, np.shape(x) + (3, 3))
-
-    def singularities(self):
-        return ()
-
-    def clearance(self):
-        return 0.0
+def frozen_system(a):
+    """Constant-coefficient system for closed-form comparison: q = 1 and P = A."""
+    return CompanionSystem(np.ones(1, dtype=complex), np.array([a], dtype=complex), (), 0.0)
 
 
 def series_exp(a, terms=25):
@@ -49,8 +40,7 @@ def series_exp(a, terms=25):
 def test_constant_coefficient_against_series_exponential():
     a = np.diag([-1.0, -2.0, 0.0]).astype(complex)
     a[0, 1] = a[1, 2] = 1.0
-    system = FrozenSystem(a)
-    y = su.integrate_path(system, polyline(0.0, 1.0), np.eye(3), tol=1e-11)
+    y = su.integrate_path(frozen_system(a), polyline(0.0, 1.0), np.eye(3), tol=1e-11)
     assert su.max_abs(y - series_exp(a)) <= 1e-10
 
 
@@ -61,40 +51,23 @@ def test_dense_constant_system_against_series_exponential():
     a = 0.7 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
     y0 = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     assert np.all(np.abs(a) > 0.05)
-    y = su.integrate_path(FrozenSystem(a), polyline(0.0, 0.6 + 0.8j), y0, tol=1e-12)
+    y = su.integrate_path(frozen_system(a), polyline(0.0, 0.6 + 0.8j), y0, tol=1e-12)
     expected = series_exp((0.6 + 0.8j) * a, terms=40) @ y0
     assert su.max_abs(y - expected) <= 1e-11 * su.max_abs(expected)
 
 
-class FuchsianSystem:
-    """A = R/(x - p) with R = P diag(w) P^-1 dense: the A(x) commute, so the transport
-    from x0 to x is P diag(((x - p)/(x0 - p))^w) P^-1, and every A_l is dense."""
-
-    def __init__(self, pole, p, w):
-        self.pole, self.p, self.w = pole, p, np.asarray(w)
-        self.r = p @ np.diag(self.w) @ np.linalg.inv(p)
-
-    def matrix(self, x):
-        return self.r / (np.asarray(x)[..., None, None] - self.pole)
-
-    def exact(self, x0, x):
-        return self.p @ np.diag(((x - self.pole) / (x0 - self.pole)) ** self.w) @ np.linalg.inv(self.p)
-
-    def singularities(self):
-        return (self.pole,)
-
-    def clearance(self):
-        return 1e-3
-
-
 def test_dense_fuchsian_system_against_closed_form():
+    # A = R/(x - p), so q = x - p and P = R, with R = V diag(w) V^-1 dense: the A(x)
+    # commute, so the transport from x0 to x is V diag(((x - p)/(x0 - p))^w) V^-1
     rng = np.random.default_rng(152)
-    p = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    system = FuchsianSystem(0.2 + 0.1j, p, [0.5, -1.3 + 0.4j, 2.2])
-    assert np.all(np.abs(system.r) > 0.05)
+    v = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    pole, w = 0.2 + 0.1j, np.array([0.5, -1.3 + 0.4j, 2.2])
+    r = v @ np.diag(w) @ np.linalg.inv(v)
+    assert np.all(np.abs(r) > 0.05)
+    system = CompanionSystem(np.array([-pole, 1.0]), np.array([r, np.zeros((3, 3))]), (pole,), 1.0)
     x0, x1 = 0.3 - 0.5j, 1.7 + 0.6j  # the segment keeps clear of the pole and its cut
     y = su.integrate_path(system, polyline(x0, x1), np.eye(3), tol=1e-12)
-    expected = system.exact(x0, x1)
+    expected = v @ np.diag(((x1 - pole) / (x0 - pole)) ** w) @ np.linalg.inv(v)
     assert su.max_abs(y - expected) <= 1e-10 * su.max_abs(expected)
 
 
@@ -132,55 +105,24 @@ def test_unperturbed_companion_matrix(nu):
     assert system.clearance() == 1e-3
 
 
-class Recording:
-    """A companion system that records the points of every matrix call, and may hide
-    some of its singular points."""
-
-    def __init__(self, system, hidden=()):
-        self.system = system
-        self.hidden = hidden
-        self.calls = []
-
-    def matrix(self, x):
-        self.calls.append(np.ravel(x))
-        return self.system.matrix(x)
-
-    def singularities(self):
-        return tuple(p for p in self.system.singularities() if p not in self.hidden)
-
-    def clearance(self):
-        return self.system.clearance()
-
-
-def test_transport_samples_once_away_from_singularities():
-    # one matrix call per path samples 64 points on a circle about every step centre;
-    # each circle has radius 0.6 r for a centre at distance r from the nearest
-    # singularity, so every sample stays at least 0.4 r away
+def test_step_plan_keeps_every_step_within_reach():
+    # 2 pi / 0.3 steps around x_R, each of length 0.3 r from a centre at distance r from
+    # the nearest singular point, so that every step's series converges at least as 0.3^m
     params = PerturbParams.from_resonant_index(0.5, 1)
-    recording = Recording(CompanionSystem.perturbed(params))
-    su.integrate_path(recording, loop_around(params, "R"), np.eye(3), tol=1e-9)
-    (points,) = recording.calls
-    circles = points.reshape(-1, 64)
-    assert len(circles) == 21  # pins the step count of this loop: 2 pi / 0.3 steps
-    singular = np.array(recording.singularities())
-    for samples in circles:
-        r = np.abs(samples.mean() - singular).min()
-        assert np.abs(samples[:, None] - singular).min() >= 0.4 * r * (1 - 1e-12)
+    system = CompanionSystem.perturbed(params)
+    c, t, r, _ = oracle._steps(loop_around(params, "R"), system.singularities(), system.clearance())
+    assert len(c) == 21  # pins the step count of this loop
+    assert np.allclose(np.abs(c[:, None] - np.array(system.singularities())).min(axis=1), r, rtol=1e-15, atol=0)
+    assert np.all(np.abs(t) <= 0.3 * r * (1 + 1e-12))
 
 
 def test_refuses_rather_than_returns_a_wrong_matrix():
     # with x_L missing from singularities() the steps about the L loop are sized by x_R
-    # alone, and x_L falls inside their sampling circles
+    # alone, up to 0.9 of the distance to x_L, where the series converge too slowly
     params = PerturbParams.from_resonant_index(0.5, 1)
-    hiding = Recording(CompanionSystem.perturbed(params), hidden=(complex(params.x_L),))
-    # the same test refuses the radius-1 origin loop at tol 1e-13: no singular point lies
-    # inside its sampling circles, but the double pole 2/x^2 outside leaves ~2.5e-13 there
-    for refused in (lambda: su.integrate_path(hiding, loop_around(params, "L"), np.eye(3), tol=1e-9),
-                    lambda: su.unperturbed_monodromy(0.5, radius=1.0, tol=1e-13)):
-        with pytest.raises(ToleranceError, match="have not decayed") as refusal:
-            refused()
-        assert ("either the system does not report a singular point inside the sampling circle, "
-                "or A's coefficients decay too slowly for 64 terms at this tol") in str(refusal.value)
+    hiding = dataclasses.replace(CompanionSystem.perturbed(params), poles=(complex(params.x_R),))
+    with pytest.raises(ToleranceError, match="has not converged"):
+        su.integrate_path(hiding, loop_around(params, "L"), np.eye(3), tol=1e-9)
     # far past the stiffness guard the series needs more terms than the cap
     stiff = PerturbParams.from_resonant_index(0.5, 15)
     with pytest.raises(ToleranceError, match="has not converged"):
@@ -202,6 +144,25 @@ def test_monodromy_sweep_meets_invariants(nu):
         assert su.unperturbed_monodromy(nu, radius, tol=1e-9).max_invariant_error <= 1e-8, radius
 
 
+@pytest.mark.parametrize("tol", [1e-12, 1e-13])
+@pytest.mark.parametrize("nu", [0.5, 1.3, 2.3])
+def test_origin_loops_meet_tight_tol(nu, tol):
+    # the recurrence reads q and P themselves, so even tol 1e-13 is met (7.5e-15 worst)
+    for radius in (0.5, 1.0, 2.0):
+        assert su.unperturbed_monodromy(nu, radius, tol).max_invariant_error <= 1e-12, radius
+
+
+@pytest.mark.parametrize("nu", [0.5, 3.3, 0.37])
+def test_loop_around_both_singular_points_meets_tight_tol_at_any_n(nu):
+    # the radius-1 circle keeps far from x_L and x_R, so its cost and error stay flat in n;
+    # its eigenvalues are exp(2 pi i Lambda), each a_k's residues summed over both points
+    closed = tuple(np.diag(su.formal_monodromy(nu)))
+    for n in (1, 10, 10**3, 10**5):
+        params = PerturbParams.from_resonant_index(nu, n)
+        m = su.integrate_path(CompanionSystem.perturbed(params), circle(0.0, 1.0), np.eye(3), tol=1e-12)
+        assert _build_report(m, closed).max_invariant_error <= 1e-12, n  # 3.5e-13 worst, at n = 1
+
+
 def test_contractible_loop_is_identity():
     params = PerturbParams(0.5, 0.25)
     system = CompanionSystem.perturbed(params)
@@ -220,7 +181,7 @@ def test_path_clearance_precondition():
         with pytest.raises(PathError, match=r"of the singular point \(0\.25\+0j\)"):
             su.integrate_path(system, path, np.eye(3))
     # a path passing at 3 clearance is transported, as the homotopic one that keeps away;
-    # the weight -1.75 at x_R amplifies the step truncation there (6.7e-7 at tol 1e-13)
+    # the weight -1.75 at x_R amplifies the step truncation there (3.0e-7 at tol 1e-13)
     near = su.integrate_path(system, polyline(0.1, x_r + 3j * c, 0.4), np.eye(3), tol=1e-13)
     far = su.integrate_path(system, polyline(0.1, x_r + 0.1j, 0.4), np.eye(3), tol=1e-13)
     assert su.max_abs(near - far) <= 1e-5 * su.max_abs(far)
@@ -243,7 +204,8 @@ def test_initial_data_refused_exactly_where_invertible_det3_refuses():
     singular = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]], dtype=complex)
     nudge = np.zeros((3, 3), dtype=complex)
     nudge[1, 0] = 1.0
-    system = FrozenSystem(np.eye(3, k=1))
+    a = np.eye(3, k=1)
+    system = frozen_system(a)
     refused = []
     for scale in 10.0 ** np.arange(-8, 9):
         for delta in (0.0, 1e-14, 1e-12, 1e-10, 1.7e-10, 1.75e-10, 1e-9, 1e-6):
@@ -256,34 +218,43 @@ def test_initial_data_refused_exactly_where_invertible_det3_refuses():
                 refused.append(delta)
             else:
                 y = su.integrate_path(system, polyline(0.0, 0.5), y0)
-                assert su.max_abs(y - series_exp(0.5 * system.a) @ y0) <= 1e-12 * su.max_abs(y0)
+                assert su.max_abs(y - series_exp(0.5 * a) @ y0) <= 1e-12 * su.max_abs(y0)
     assert refused == [0.0, 1e-14, 1e-12, 1e-10, 1.7e-10] * 17
+
+
+def scalar_companion(params):
+    """The expanded scalar equation y^(3) + c2 y^(2) + c1 y' + c0 y = 0 of
+    scalar_form_coefficients as a system in (y, y', y^(2)) over q = s^3, s = x^2 - eps:
+    a_k = u_k/s with u_k = Lambda_k x + Q_k, so that a_k' = v_k/s^2 with
+    v_k = Lambda_k s - 2x u_k, and a_k^(2) = -(2 u_k s + 4x v_k)/s^3."""
+    poly = np.polynomial.Polynomial
+    lam, q_diag = exponent_diagonals(params.nu)
+    x, s = poly([0.0, 1.0]), poly([-params.sqrt_eps**2, 0.0, 1.0])
+    u1, u2, u3 = (poly([c, l]) for l, c in zip(lam, q_diag))
+    v1, v2 = (l * s - 2.0 * x * u for l, u in zip(lam, (u1, u2)))
+    c0 = v1 * u2 + u1 * v2 + 2.0 * u1 * s + 4.0 * x * v1 + u3 * v1 - u1 * u2 * u3  # s^3 c0
+    c1 = (u1 * u2 + u1 * u3 + u2 * u3 - 2.0 * v1 - v2) * s  # s^3 c1
+    c2 = -(u1 + u2 + u3) * s**2  # s^3 c2
+    q = (s**3).coef.astype(complex)
+    p = np.zeros((len(q), 3, 3), dtype=complex)
+    p[:, 0, 1] = p[:, 1, 2] = q
+    for column, c in enumerate((c0, c1, c2)):
+        p[:len(c.coef), 2, column] = -c.coef
+    return CompanionSystem(q, p, (complex(params.x_L), complex(params.x_R)), params.sqrt_eps)
 
 
 def test_scalar_and_companion_routes_agree():
     # transporting the expanded scalar equation and the factored system from
     # matched initial data gives the same first component
     params = PerturbParams(0.8, 0.25)
-
-    class ScalarCompanion:
-        def matrix(self, x):
-            m = np.zeros((np.size(x), 3, 3), dtype=complex)
-            m[:, 0, 1] = 1.0
-            m[:, 1, 2] = 1.0
-            for row, point in zip(m, np.ravel(x)):
-                c2, c1, c0 = su.scalar_form_coefficients(params, point)
-                row[2] = [-c0, -c1, -c2]
-            return m.reshape(np.shape(x) + (3, 3))
-
-        def singularities(self):
-            return (complex(params.x_L), complex(params.x_R))
-
-        def clearance(self):
-            return 1e-3 * params.sqrt_eps
+    scalar = scalar_companion(params)
+    for point in OFF_AXIS_POINTS:  # the derived numerator over q is the scalar form
+        c2, c1, c0 = su.scalar_form_coefficients(params, point)
+        assert np.allclose(scalar.matrix(point)[2], [-c0, -c1, -c2], rtol=1e-12, atol=0.0)
 
     x0, x1 = 0.5, 1.1
     path = polyline(x0, x1)
-    scalar_end = su.integrate_path(ScalarCompanion(), path, np.eye(3), tol=1e-11)
+    scalar_end = su.integrate_path(scalar, path, np.eye(3), tol=1e-11)
 
     # initial data conversion: rows (y, L1 y, L2 L1 y) in terms of (y, y', y'')
     system = CompanionSystem.perturbed(params)
@@ -472,18 +443,17 @@ def _all_steps_transport(system, path, y0, tol):
     the reference that the one-step-first evaluation must match bit for bit."""
     y = np.array(y0, dtype=complex)
     c, t, r, segments = oracle._steps(path, system.singularities(), system.clearance())
-    rho = oracle._SAMPLE_RATIO * r
-    n, k = len(c), oracle._CAUCHY_POINTS
-    d = oracle._taylor_coefficients(system, c, rho, tol, segments)
-    d *= (t[:, None] * (t / rho)[:, None] ** oracle._POWERS)[:, :, None]
-    d = np.ascontiguousarray(d.reshape(n, k, 3, 3).transpose(0, 2, 1, 3)).reshape(n, 3, 1, 3 * k)
-    terms = np.empty((n, 1, 3 * (k + 1), 3), dtype=complex)
-    terms[:, 0, 3 * k:] = np.eye(3)
+    rows = oracle._recurrence_rows(system, c, t)
+    n, k, width = len(c), oracle._MAX_TERMS, rows.shape[-1]
+    zw = np.zeros((n, 1, 6 * k + width, 3), dtype=complex)
+    zw[:, 0, 6 * k:6 * k + 3] = np.eye(3)
     phi = np.tile(np.eye(3, dtype=complex), (n, 1, 1))
     small = np.zeros(n, dtype=int)
     for m in range(k):
-        term = (d[..., :3 * (m + 1)] @ terms[..., 3 * (k - m):, :]).reshape(n, 3, 3) / (m + 1)
-        terms[:, 0, 3 * (k - m - 1):3 * (k - m)] = term
+        at = 6 * (k - m)
+        w = (rows @ zw[..., at:at + width, :]).reshape(n, 3, 3)
+        term = w / (m + 1)
+        zw[:, 0, at - 6:at - 3], zw[:, 0, at - 3:at] = term, w
         phi += term
         below = np.abs(term).max(axis=(1, 2)) <= tol * np.maximum(1.0, np.abs(phi).max(axis=(1, 2)))
         small = (small + 1) * below
@@ -507,7 +477,7 @@ def _reference_cases():
                 yield f"{which}-nu{nu}-n{n}-{tol:g}", CompanionSystem.perturbed(params), loop_around(params, which), tol
     for tol in tols:
         yield f"origin-{tol:g}", CompanionSystem.unperturbed(1.3), circle(0.0, 1.0), tol
-    zero = CompanionSystem(np.zeros(1, dtype=complex), np.array([1]), np.zeros((3, 1), dtype=complex), 1.0)
+    zero = CompanionSystem(np.ones(1, dtype=complex), np.zeros((1, 3, 3), dtype=complex), (0j,), 1.0)
     for tol in (1e-9, 0.5, 10.0):
         yield f"zero-{tol:g}", zero, circle(0.0, 1.0), tol
     for n in (8, 15):  # past the stiffness guard; n = 15 needs more terms than the cap
