@@ -20,7 +20,6 @@ from .borel import (
     laplace_sum,
     resummed_ode_residual,
     stokes_jump_quadrature,
-    two_sided_values,
 )
 from .confluence import (
     ConfluenceRow,

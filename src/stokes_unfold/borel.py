@@ -5,25 +5,26 @@
     x^{-1} * integral over the ray from 0 to infinity e^{i theta} of
     (1 -+ zeta)^{-nu} e^{-zeta/x} d zeta
 
-by truncating the ray where an analytic tail bound falls below the error
-budget and running adaptive Gauss-Legendre panels on what is left.  By
-Cauchy's theorem the difference of the two lateral sums around the singular
-direction is the same integral over one Hankel loop around the Borel cut;
-``stokes_jump_quadrature`` integrates that loop with the factor e^{-+1/x}
-taken out exactly, and its coefficient reproduces the Stokes-matrix entries.
+by breaking the ray where it passes closest to the Borel singularity and summing
+each piece with ``quad.trapezoid`` after a double-exponential map.  By Cauchy's
+theorem the difference of the two lateral sums around the singular direction is
+the same integral over one Hankel loop around the Borel cut;
+``stokes_jump_quadrature`` integrates that loop with the factor e^{-+1/x} taken
+out exactly, and its coefficient reproduces the Stokes-matrix entries.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DecayConditionError, SingularDirectionError
 from .gammas import reciprocal_gamma
-from .quad import integrate_chain, trapezoid
+from .quad import exp_exp, exp_exp_window, tanh_sinh, tanh_sinh_window, trapezoid
 from .series import SeriesKind, build_series, gevrey_constants
 
 TOL_DEFAULT = 1e-10
@@ -31,6 +32,7 @@ DELTA_DEFAULT = math.pi / 12
 _RESIDUAL_STEP = 1e-5
 _RAY_MARGIN = 10.0  # times sqrt(tol), minimum ray clearance from the Borel singularity
 _LOOP_DECAY = 40.0  # the Hankel loop is cut where its kernel has fallen to e^-40
+_END_SHARE = sys.float_info.epsilon  # of a piece's budget, the most each end of its window leaves out
 
 
 def singular_direction(kind: SeriesKind) -> float:
@@ -66,22 +68,19 @@ class LaplaceQuery:
             raise DecayConditionError(
                 f"Re(e^(i theta)/x) = {self.decay_rate():.3e} <= 0; no decay along the ray"
             )
-        rel = self.theta - singular_direction(self.kind)
-        # distance of the ray {s e^(i theta)} from the unit singular point
-        clearance = 1.0 if math.cos(rel) <= 0.0 else abs(math.sin(rel))
+        _, clearance = _closest_approach(self.theta - singular_direction(self.kind))
         if clearance < _RAY_MARGIN * math.sqrt(self.tol):
             raise SingularDirectionError(
                 f"ray at theta = {self.theta} passes within {clearance:.2e} of the Borel singularity"
             )
 
 
-def _truncation(c: float, growth: float, tol_tail: float) -> float:
-    # smallest T with (1+T)^growth e^{-cT}/c <= tol_tail, then doubled
-    t = 10.0 / c
-    for _ in range(3):
-        t = (math.log(1.0 / (tol_tail * c)) + growth * math.log1p(t)) / c
-        t = max(t, 1.0 / c)
-    return 2.0 * t
+def _closest_approach(rel: float) -> tuple[float, float]:
+    """(s*, clearance): the ray {s e^(i rel)}, rel measured from the singular direction,
+    passes closest to the Borel singularity at s* = max(0, cos rel), at distance |sin rel|,
+    or 1 when cos rel <= 0 and s* = 0."""
+    cos_rel = math.cos(rel)
+    return (cos_rel, abs(math.sin(rel))) if cos_rel > 0.0 else (0.0, 1.0)
 
 
 def laplace_sum(query: LaplaceQuery) -> complex:
@@ -90,38 +89,61 @@ def laplace_sum(query: LaplaceQuery) -> complex:
     Absolute error <= query.tol.  The integrand branch is the principal one
     continued along the ray from zeta = 0, which never meets the cut for
     admissible directions.
+
+    The ray is broken at its closest approach s* to zeta = 1, so the near-singularity
+    ends both pieces: tanh-sinh carries [0, s*], and exp-exp [s*, inf) in r = c (s - s*),
+    c the decay rate, sharing the absolute budget 0.5 tol |x|.  Each end of a
+    window is cut where what it leaves out is below eps of that budget, and
+    ``quad.trapezoid`` certifies each sum or raises ToleranceError.
     """
     query.validate()
     nu = complex(query.nu)
     x = complex(query.x)
     direction = cmath.exp(1j * query.theta)
     c = query.decay_rate()
+    rel = query.theta - singular_direction(query.kind)
+    star, clearance = _closest_approach(rel)
+    cos_rel, sin_rel = math.cos(rel), math.sin(rel)
+    # Re(1 -+ zeta) at s*, so that near the cut |1 -+ zeta|^2 = sin^2 rel + d^2 cancels nothing
+    base = sin_rel * sin_rel if star > 0.0 else 1.0
+    slope = -direction / x
+
+    def integrand(d):  # (1 -+ zeta)^(-nu) e^(-zeta/x) at zeta = (s* + d) e^(i theta)
+        re, im = base - d * cos_rel, -(star + d) * sin_rel
+        return np.exp(-nu * (0.5 * np.log(re * re + im * im) + 1j * np.arctan2(im, re)) + slope * (star + d))
+
+    budget = 0.5 * query.tol * abs(x) / (2 if star > 0.0 else 1)
+    end = _END_SHARE * budget
+    log_near = -math.log(min(clearance, 0.5))  # bounds |log|1 -+ zeta|| at 0 and near s*
+    log_peak = math.pi * abs(nu.imag) + abs(nu.real) * log_near
+    # the exponent's rounding is about one ulp of the size of each of its parts: |nu log(1 -+
+    # zeta)| <= |nu| (pi + log_near), and |zeta / x| at the ray's mean s* + 1/c under the
+    # weight e^(-c s); the maps and the exponential add 4
+    cond = 4.0 + abs(nu) * (math.pi + log_near) + abs(slope) * (star + 1.0 / c)
+    total = 0j
+    if star > 0.0:
+        lam = log_peak + math.log(star / end)  # each end leaves out at most s* e^(log_peak - lam)
+        v0, w = tanh_sinh_window(lam, lam)
+
+        def head(v):  # s from 0 to s*: d = -s* (1 - u)
+            _, log_rest, log_jac = tanh_sinh(v0 + v)
+            return integrand(-star * np.exp(log_rest)) * (star * np.exp(log_jac))
+
+        total += trapezoid(head, w, 0.0, atol=budget, cond=cond)[0]
+    # at r = c d the integrand is below e^log_peak (1 + r/c)^g e^(-r), g = max(0, -Re nu),
+    # and (1 + r/c)^g e^(-r/2) peaks at r = 2g - c, so past R what is left is below
+    # 2 e^(log_peak + log_bump - R/2) / c
     growth = max(0.0, -nu.real)
-    t_max = _truncation(c, growth, query.tol * abs(x) / 10.0)
-    c1 = (-1.0 if query.kind is SeriesKind.PSI else 1.0) * direction
-    c2 = -direction / x
+    log_bump = growth * math.log(2.0 * growth / c) + 0.5 * c - growth if 2.0 * growth > c else 0.0
+    lam_tail = log_peak - math.log(c * end)
+    v0, w = exp_exp_window(max(1.0, lam_tail), 2.0 * (lam_tail + log_bump + math.log(2.0)))
 
-    def integrand(s):  # (1 -+ zeta)^(-nu) e^(-zeta/x) at zeta = s e^(i theta)
-        return np.exp(-nu * np.log1p(c1 * s) + c2 * s)
+    def tail(v):
+        r, jac = exp_exp(v0 + v)
+        return integrand(r / c) * (jac / c)
 
-    # pre-split around the region nearest the unit singular point
-    breaks = [0.0] + [b for b in (0.5, 1.6, 4.0) if b < t_max] + [t_max]
-    value = integrate_chain(integrand, breaks, tol_abs=0.5 * query.tol * abs(x))
-    return direction * value / x
-
-
-def two_sided_values(nu, kind: SeriesKind, x, tol: float = TOL_DEFAULT,
-                     delta: float = DELTA_DEFAULT) -> tuple[complex, complex]:
-    """Resummed values just above and just below the singular direction.
-
-    Returns (plus, minus) for the rays theta_sing + delta and
-    theta_sing - delta; by homotopy the values do not depend on delta
-    within the admissible range.
-    """
-    ts = singular_direction(kind)
-    plus = laplace_sum(LaplaceQuery(nu, kind, x, ts + delta, tol))
-    minus = laplace_sum(LaplaceQuery(nu, kind, x, ts - delta, tol))
-    return plus, minus
+    total += trapezoid(tail, w, 0.0, atol=budget, cond=cond)[0]
+    return direction * total / x
 
 
 def _hankel_parabola(nu: complex, a: float) -> tuple[float, float]:
@@ -150,16 +172,17 @@ def _loop_integrand(nu: complex, k: complex):
 
 def stokes_jump_quadrature(nu, kind: SeriesKind, x, tol: float = TOL_DEFAULT) -> complex:
     """Coefficient c in (minus - plus) = c x^{-nu} e^{-1/x} (PSI) or
-    c x^{-nu} e^{+1/x} (PHI), for the lateral sums (plus, minus) of
-    ``two_sided_values``, extracted by quadrature.
+    c x^{-nu} e^{+1/x} (PHI), for the lateral sums plus and minus, the ``laplace_sum``
+    values on the rays theta_sing + DELTA_DEFAULT and theta_sing - DELTA_DEFAULT,
+    extracted by quadrature.
 
     Closed forms: c = -2 pi i / Gamma(nu) for PSI and
     c = -2 pi i e^{-i pi nu} / Gamma(nu) for PHI.  For the pi direction the
     x^nu normalisation takes arg x on the lower edge (arg x in (-2 pi, 0)),
     the branch on which the PHI closed form holds.
 
-    The (x, tol) that ``two_sided_values`` refuses are refused with the same
-    errors.  By Cauchy's theorem minus - plus is the Laplace integral of the
+    The (x, tol) for which either ray's ``LaplaceQuery.validate`` raises are refused
+    with the same errors.  By Cauchy's theorem minus - plus is the Laplace integral of the
     Borel transform over a loop around its cut; with zeta = 1 + tau it is
     x^{-1} e^{-1/x} times the loop integral of (-tau)^{-nu} e^{-tau/x}.  On
     the parabola tau = -|x| mu p^2, p = 1 + i theta (``_hankel_parabola``),

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .gammas import log_gamma_ratio, reciprocal_gamma
 from .mat3 import exp_first_row_nilpotent
-from .quad import integrate_chain, trapezoid
+from .quad import tanh_sinh, tanh_sinh_window, trapezoid
 from .unperturbed import exponent_diagonals
 
 INTEGRALITY_TOL = 1e-9
@@ -283,10 +283,11 @@ def ratio_integral_check(a: float, b: float, x: float, tol: float = 1e-10) -> tu
     makes the integrand tau^{b-1} (2a+tau)^{-(b+1)}, real and positive, so
     ``_two_pole_integral`` settles it without branch bookkeeping; ``tol`` is
     relative to span max h, span = |x + a|.  At tol 1e-10 and 1e-12 the quadrature
-    is within 1e-13 relative of 40-digit values for a in [1e-3, 1.2], b in
-    [1.01, 500] and span up to 100 a, wherever the closed form is a normal double.
-    Where the integral's scale H or ((x+a)/(x-a))^b leaves the range of normal
-    doubles, DoubleRangeError states its log-magnitude.
+    is within 6e-13 relative of 40-digit values for a in [1e-3, 1.2], b in
+    [1.01, 500] and span up to 100 a, wherever the closed form is a normal double
+    (within 1e-13 at tol 1e-12).  Where the integral's scale H or ((x+a)/(x-a))^b
+    leaves the range of normal doubles, DoubleRangeError states its log-magnitude;
+    where the rule cannot certify tol, ToleranceError.
     """
     a = float(a)
     b = float(b)
@@ -469,8 +470,12 @@ def offdiag_solution_quadrature(params: PerturbParams, x, which: OffDiagonal,
     is relative to span max h, span = |x| - sqrt_eps.  At tol 1e-10 and 1e-12 the
     entries are within 3e-13 relative of 40-digit 2F1 values for nu in
     [-3.3, 7.25], 1/sqrt_eps in [1.5, 1001] and span up to 30 sqrt_eps, wherever
-    the entry is a normal double.  Where the entry's scale H Phi1^(+-1) leaves the
-    range of normal doubles, DoubleRangeError states its log-magnitude.
+    the entry is a normal double.  PHI12 from x_R out to x = 1 along the resonant
+    sequence, 1/sqrt_eps up to 4e4, is within 1e-12 relative at tol 1e-10; each
+    term of its sum carries about p + |q| = 1/sqrt_eps ulps, so at tol 1e-12 the
+    rule's rounding estimate refuses it past 1/sqrt_eps of about 4500.  Where the
+    entry's scale H Phi1^(+-1) leaves the range of normal doubles, DoubleRangeError
+    states its log-magnitude; where the rule cannot certify tol, ToleranceError.
     """
     if params.nu.imag != 0.0:
         raise ValueError("offdiagonal quadrature is implemented for real nu")
@@ -524,27 +529,32 @@ def _two_pole_integral(s: float, p: float, q: float, span: float, tol: float) ->
     taken as span when q <= p).  H = t^p (2s + u)^(-q), with c clipped to
     [min(span, s), span] as t and to [0, span] as u, bounds h on [min(span, s), span],
     and on all of (0, span] when p > 0; it is h's maximum when c lies in the first
-    interval.  One adaptive Gauss-Legendre chain on breaks graded geometrically toward
-    0 integrates h / H to tol * span absolute down to lo = 1e-18 min(span, s), and the
-    leading term lo h(lo) / (p+1) covers [0, lo] (relative error q lo / 2s).  Working
-    in units of H keeps p and q of several hundred clear of overflow and underflow.
+    interval.  Working in units of H keeps p and q of several hundred clear of overflow
+    and underflow.
+
+    tau = span u runs over the tanh-sinh map (``quad.tanh_sinh``), and log(tau / t) is
+    taken from log u, so the endpoint power tau^p is resolved for every p > -1.  Since
+    |d log h / d tau| <= (p + |q|) / tau, h stays above h(t) / e on a width
+    t / (2 e (p + |q| + 1)) next to t, so I / H >= t e^(-k) with
+    k = log(2 e (p + |q| + 1)) + q log((2s + t) / (2s + u)).  Each end of the window is
+    cut where what it leaves out is below eps of that: span e^(-lam) at span, and at 0
+    the same for p >= 0, or t (delta / t)^(p+1) / (p + 1) below delta for p < 0.
+    ``quad.trapezoid`` sums the rest to tol span absolute, with cond = p + |q| + 4: each
+    term's exponent scales one logarithm by p and one by q, each about 1 in size where the
+    terms that carry the sum lie, and 4 more ulps come from the map and the exponential.
     """
     crest = 2.0 * s * p / (q - p) if q > p else span
     t, u = min(span, max(min(span, s), crest)), min(span, max(0.0, crest))
-    f = lambda tau: np.exp(p * np.log(tau / t) - q * np.log((2.0 * s + tau) / (2.0 * s + u)))
-    lo = min(span, s) * 1e-18
-    head = lo * f(lo) / (p + 1.0)
     log_scale = p * math.log(t / (2.0 * s + u)) + (p - q) * math.log(2.0 * s + u)
-    chain = integrate_chain(f, _geometric_breaks(lo, span), tol_abs=tol * span)
-    return head + chain.real, log_scale
+    log_ratio = math.log(span / t)
+    k = math.log(2.0 * math.e * (p + abs(q) + 1.0)) + q * math.log((2.0 * s + t) / (2.0 * s + u))
+    lam, m = k - math.log(sys.float_info.epsilon), min(1.0, p + 1.0)  # each end leaves out eps t e^-k
+    v0, w = tanh_sinh_window(log_ratio + (lam - math.log(m)) / m, log_ratio + lam)
 
+    def f(v):
+        log_u, _, log_jac = tanh_sinh(v0 + v)
+        tau = span * np.exp(log_u)
+        return span * np.exp(p * (log_u + log_ratio) - q * np.log((2.0 * s + tau) / (2.0 * s + u)) + log_jac)
 
-def _geometric_breaks(lo: float, hi: float):
-    """Panel breakpoints accumulating geometrically (factor 4) toward ``lo``."""
-    pts = [hi]
-    v = hi
-    while v / 4.0 > lo:
-        v /= 4.0
-        pts.append(v)
-    pts.append(lo)
-    return list(reversed(pts))
+    total, _ = trapezoid(f, w, 0.0, atol=tol * span, cond=p + abs(q) + 4.0)
+    return total.real, log_scale

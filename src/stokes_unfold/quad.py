@@ -1,20 +1,16 @@
-"""Quadrature engine: adaptive Gauss-Legendre panels on complex segments, and a
-nested trapezoid rule for integrands that decay on both sides of a line.
+"""Quadrature: one nested trapezoid rule, and the double-exponential maps that carry an
+interval or a half-line onto the real line for it.
 
-All integrands handled here are analytic on their paths, so fixed-order
-panels with bisection on a straddle estimate converge geometrically; the
-absolute error budget is split between the two halves at every split.
-Panels are evaluated in batches, one integrand call per batch, while the
-bisection tree and the order in which accepted panels are summed stay those
-of a one-panel-at-a-time depth-first walk, so the batch size never changes
-a bit of a result.  Algebraic endpoint behaviour is left to the caller, who
-grades the breaks geometrically toward the endpoint
-(``perturbed._two_pole_integral``).
-
-``trapezoid`` serves integrands analytic in a strip about the real line and
-either negligible past its ends or periodic, where the rule converges
-geometrically in the node count (Trefethen & Weideman, SIAM Rev. 56, 2014); it
-reports its own error estimate and refuses what it cannot certify.
+``trapezoid`` serves integrands analytic in a strip about the real line and either
+negligible past its ends or periodic, where the rule converges geometrically in the node
+count (Trefethen & Weideman, SIAM Rev. 56, 2014); it reports its own error estimate and
+refuses what it cannot certify.  After ``tanh_sinh`` (onto (0, 1)) or ``exp_exp`` (onto
+(0, inf), for integrands that decay exponentially) an integrand analytic on the open
+interval, with at worst algebraic behaviour at a finite end, decays double-exponentially
+in the new variable, so the same rule converges geometrically without breaks graded
+toward an endpoint (Takahasi & Mori, Publ. RIMS 9, 1974; Mori & Sugihara, J. Comput.
+Appl. Math. 127, 2001).  Each map comes with the window of the new variable outside of
+which its ends are as small as the caller asks.
 """
 
 from __future__ import annotations
@@ -25,88 +21,43 @@ import numpy as np
 
 from .errors import ToleranceError
 
-_ORDER = 20  # Gauss-Legendre nodes per panel
-_MAX_DEPTH = 48  # bisections below a coarse panel before the estimate must hold
-_BATCH = 64  # panels bisected per integrand call after the first
-_X, _W = np.polynomial.legendre.leggauss(_ORDER)
 _TRAP_N0 = 32  # first trapezoid level: 2 _TRAP_N0 + 1 nodes
 _TRAP_CAP = 4096  # largest n a trapezoid sum doubles to
 _EPS = np.finfo(float).eps
 
 
-def gl_panel(f, mid, half):
-    """Gauss-Legendre panels with centres ``mid`` and half-lengths ``half`` (arrays of one
-    length m) on straight segments, from one call of f on the (m, _ORDER) node grid.  The
-    weights go in with ``@``: a reduction that rounds differently (``einsum``) would move
-    the last bits of every lateral Laplace sum."""
-    return half * (f(mid[:, None] + half[:, None] * _X) @ _W)
+def tanh_sinh(v):
+    """Logarithms (log u, log(1 - u), log du/dv) of u = 1 / (1 + e^(-pi sinh v)) =
+    (1 + tanh((pi/2) sinh v)) / 2, which maps the real line onto (0, 1).  In logarithms
+    neither end underflows, and each keeps its own relative precision: log u = pi sinh v
+    + O(u) as v -> -inf, so an endpoint power u^p with p near -1, whose mass lies at
+    u ~ e^(-1/(p+1)), is still resolved."""
+    y = np.pi * np.sinh(v)
+    log_u, log_rest = -np.logaddexp(0.0, -y), -np.logaddexp(0.0, y)
+    return log_u, log_rest, log_u + log_rest + np.log(np.pi * np.cosh(v))
 
 
-def _halves(a, b):
-    """Midpoints of the panels from ``a`` to ``b`` (arrays), with the centres and
-    half-lengths of their left halves followed by those of their right halves."""
-    mid = 0.5 * (a + b)
-    return (mid, np.concatenate((0.5 * (a + mid), 0.5 * (mid + b))),
-            np.concatenate((0.5 * (mid - a), 0.5 * (b - mid))))
+def tanh_sinh_window(lam_lo: float, lam_hi: float) -> tuple[float, float]:
+    """(centre, half-width) of the v-interval at whose ends u <= e^(-lam_lo) and
+    1 - u <= e^(-lam_hi)."""
+    lo, hi = -math.asinh(lam_lo / math.pi), math.asinh(lam_hi / math.pi)
+    return 0.5 * (lo + hi), 0.5 * (hi - lo)
 
 
-def integrate_chain(f, points, tol_abs: float) -> complex:
-    """Adaptive integral along the polyline through ``points`` (Gander & Gautschi, BIT 40,
-    2000).  Each segment is a coarse panel with budget tol_abs / (segments); a panel is
-    bisected while |whole - left - right| exceeds its budget, and each half gets half of
-    it.  A panel whose estimate still exceeds its budget after _MAX_DEPTH bisections
-    raises ToleranceError, so a tolerance below the rounding floor is refused, not walked.
+def exp_exp(v):
+    """(r, dr/dv) for r = e^(v - e^(-v)), which maps the real line onto (0, inf): r falls
+    to 0 double-exponentially as v -> -inf, and so does e^(-r) as v -> +inf, which makes it
+    the map for integrands that decay like e^(-r) (Mori & Sugihara 2001)."""
+    e = np.exp(-v)
+    r = np.exp(v - e)
+    return r, r * (1.0 + e)
 
-    One call of f evaluates the coarse panels and both halves of each; every later call
-    evaluates both halves of up to _BATCH panels taken off a depth-first stack.  So no
-    call holds more than 2 _BATCH panels after the first, and where every panel fails (a
-    tolerance below the rounding floor) the depth limit is met within _MAX_DEPTH + 1
-    calls.  Each accepted panel carries an integer key, its segment and then its path of
-    halves with the right half first, and the accepted sums are added in key order: the
-    order a one-panel walk would add them in.  Centres and half-lengths are 0.5 (a + b)
-    and 0.5 (b - a) of each panel's ends."""
-    pts = list(points)
-    if len(pts) < 2:
-        raise ValueError("need at least two points")
-    budget = float(tol_abs) / (len(pts) - 1)
-    lo, hi = np.array(pts[:-1]), np.array(pts[1:])
-    mid, centres, halves = _halves(lo, hi)
-    first = gl_panel(f, np.concatenate((mid, centres)),
-                     np.concatenate((0.5 * (hi - lo), halves))).tolist()
-    # (a, b, whole, budget, depth, key); a panel at depth d owns the keys
-    # [key, key + 2^(_MAX_DEPTH - d)), its right half the lower half of them
-    batch = [(a, b, whole, budget, 0, k << _MAX_DEPTH)
-             for k, (a, b, whole) in enumerate(zip(pts, pts[1:], first))]
-    mids, values = mid.tolist(), first[len(batch):]
-    stack, accepted = [], []
-    while True:
-        split = []
-        for (a0, b0, whole, tol0, depth, key), m0, left, right in zip(
-                batch, mids, values, values[len(batch):]):
-            err = abs(whole - left - right)
-            if not math.isfinite(err):
-                raise ToleranceError(f"integrand not finite on [{a0}, {b0}]")
-            if err <= tol0:
-                accepted.append((key, left + right))
-            elif depth >= _MAX_DEPTH:
-                raise ToleranceError(f"quadrature stalled on [{a0}, {b0}] "
-                                     f"with error estimate {err:.3e}")
-            else:
-                split += [(m0, b0, right, 0.5 * tol0, depth + 1, key),
-                          (a0, m0, left, 0.5 * tol0, depth + 1,
-                           key + (1 << (_MAX_DEPTH - depth - 1)))]
-        stack += reversed(split)  # the stack's top stays first in depth-first order
-        if not stack:
-            break
-        batch = stack[:-_BATCH - 1:-1]
-        del stack[-_BATCH:]
-        mid, centres, halves = _halves(np.array([p[0] for p in batch]),
-                                       np.array([p[1] for p in batch]))
-        mids, values = mid.tolist(), gl_panel(f, centres, halves).tolist()
-    total = 0j
-    for _, value in sorted(accepted):
-        total += value
-    return total
+
+def exp_exp_window(lam_lo: float, r_hi: float) -> tuple[float, float]:
+    """(centre, half-width) of the v-interval at whose ends r <= e^(-lam_lo) (lam_lo >= 1)
+    and r >= r_hi (r_hi >= 1)."""
+    lo, hi = -math.log(lam_lo), math.log(r_hi) + 1.0
+    return 0.5 * (lo + hi), 0.5 * (hi - lo)
 
 
 def trapezoid(f, w: float, rtol: float, atol: float = 0.0, cond: float = 1.0) -> tuple[complex, float]:

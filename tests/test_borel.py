@@ -17,6 +17,12 @@ PSI_HALF_AT_01_EXP3 = 1.0193311325100478 + 0.0490794802116646j  # x = 0.1 e^{i p
 PHI_TWO_AT_011_3PI4 = 1.1161489395598375 - 0.2362538113137839j  # x = 0.11 e^{3i pi/4}, theta = 5 pi/6
 
 
+def _lateral_sums(nu, kind, x, tol=su.TOL_DEFAULT, delta=su.DELTA_DEFAULT):
+    """(plus, minus): the resummed values on the rays theta_sing + delta and theta_sing - delta."""
+    ts = borel.singular_direction(kind)
+    return tuple(su.laplace_sum(LaplaceQuery(nu, kind, x, ts + side, tol)) for side in (delta, -delta))
+
+
 def test_nu_zero_sums_to_one():
     q = LaplaceQuery(0.0, SeriesKind.PSI, 0.1, math.pi / 4)
     assert su.laplace_sum(q) == pytest.approx(1.0, abs=1e-10)
@@ -92,9 +98,9 @@ def test_growing_borel_factor_still_converges():
 
 def test_two_sided_needs_points_in_the_right_half_plane():
     with pytest.raises(DecayConditionError):
-        su.two_sided_values(0.5, SeriesKind.PHI, 0.15)  # PHI needs x near the pi direction
+        _lateral_sums(0.5, SeriesKind.PHI, 0.15)  # PHI needs x near the pi direction
     with pytest.raises(DecayConditionError):
-        su.two_sided_values(0.5, SeriesKind.PSI, -0.15)
+        _lateral_sums(0.5, SeriesKind.PSI, -0.15)
 
 
 def test_theta_on_universal_cover():
@@ -120,16 +126,16 @@ def test_singular_direction_error():
 
 def test_two_sided_no_jump_at_nonpositive_integers():
     for nu in (0, -1, -2, -3):
-        plus, minus = su.two_sided_values(nu, SeriesKind.PSI, 0.15)
+        plus, minus = _lateral_sums(nu, SeriesKind.PSI, 0.15)
         assert abs(minus - plus) <= 1e-9
-        plus, minus = su.two_sided_values(nu, SeriesKind.PHI, -0.15)
+        plus, minus = _lateral_sums(nu, SeriesKind.PHI, -0.15)
         assert abs(minus - plus) <= 1e-9
 
 
 def test_two_sided_jump_psi_closed_form():
     # minus - plus = -(2 pi i / Gamma(1/2)) x^{-1/2} e^{-1/x}
     nu, x = 0.5, 0.15
-    plus, minus = su.two_sided_values(nu, SeriesKind.PSI, x, tol=1e-11)
+    plus, minus = _lateral_sums(nu, SeriesKind.PSI, x, tol=1e-11)
     expected = -2j * math.pi / math.sqrt(math.pi) * x ** (-nu) * math.exp(-1.0 / x)
     assert (minus - plus) == pytest.approx(expected, rel=1e-7)
 
@@ -139,15 +145,15 @@ def test_two_sided_jump_phi_closed_form():
     # lower-edge branch of x^{-nu} (arg x = -pi)
     nu = 0.5
     x = -0.15
-    plus, minus = su.two_sided_values(nu, SeriesKind.PHI, x, tol=1e-11)
+    plus, minus = _lateral_sums(nu, SeriesKind.PHI, x, tol=1e-11)
     x_pow = cmath.exp(-nu * (math.log(abs(x)) - 1j * math.pi))
     expected = -2j * math.pi * cmath.exp(-1j * math.pi * nu) / math.sqrt(math.pi) * x_pow * math.exp(1.0 / x)
     assert (minus - plus) == pytest.approx(expected, rel=1e-7)
 
 
 def test_two_sided_delta_independence():
-    a = su.two_sided_values(0.5, SeriesKind.PSI, 0.15, tol=1e-11, delta=math.pi / 12)
-    b = su.two_sided_values(0.5, SeriesKind.PSI, 0.15, tol=1e-11, delta=math.pi / 18)
+    a = _lateral_sums(0.5, SeriesKind.PSI, 0.15, tol=1e-11, delta=math.pi / 12)
+    b = _lateral_sums(0.5, SeriesKind.PSI, 0.15, tol=1e-11, delta=math.pi / 18)
     assert abs(a[0] - b[0]) <= 2e-11
     assert abs(a[1] - b[1]) <= 2e-11
 
@@ -195,7 +201,7 @@ def test_lateral_sum_difference_matches_the_jump():
         kind = (SeriesKind.PSI, SeriesKind.PHI)[j % 2]
         nu, tol = rng.uniform(0.0, 4.0), (1e-8, 1e-10)[j // 2 % 2]
         x = rng.uniform(0.1, 0.3) * cmath.exp(1j * rng.uniform(-0.5, 0.5)) * (1 if j % 2 == 0 else -1)
-        plus, minus = su.two_sided_values(nu, kind, x, tol)
+        plus, minus = _lateral_sums(nu, kind, x, tol)
         factor = _lateral_factor(nu, kind, x)
         jump = su.stokes_jump_quadrature(nu, kind, x, tol=1e-13)
         assert abs((minus - plus) * factor - jump) <= 2 * tol * abs(factor), (nu, kind, x, tol)

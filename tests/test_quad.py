@@ -1,6 +1,6 @@
-"""The quadrature engine: adaptive Gauss-Legendre chains against closed forms, the
-panels they evaluate and how they batch them, and their refusal of a tolerance below
-the rounding floor; the nested trapezoid rule's sums, nodes, estimates and refusals."""
+"""The quadrature rule: the nested trapezoid rule's sums, nodes, estimates and refusals,
+the double-exponential maps against closed forms, and the refusals of the integrals that
+run on them below their rounding floor."""
 
 import math
 
@@ -11,158 +11,80 @@ import stokes_unfold as su
 from stokes_unfold import borel, perturbed, quad
 from stokes_unfold.errors import ToleranceError
 
-EPS = np.finfo(float).eps
+
+def _counting(monkeypatch, module):
+    """Record the node count of every integrand call the trapezoid sums of ``module`` make."""
+    calls, trapezoid = [], quad.trapezoid
+
+    def counted(f, w, rtol, **kwargs):
+        return trapezoid(lambda v: calls.append(v.size) or f(v), w, rtol, **kwargs)
+
+    monkeypatch.setattr(module, "trapezoid", counted)
+    return calls
 
 
-def _exp_chain(c, points):
-    """int of e^(c s) along the polyline through points."""
-    return (np.exp(c * points[-1]) - np.exp(c * points[0])) / c
+@pytest.mark.parametrize("p, q", [(-0.95, 0.5), (-0.5, 0.0), (0.0, 2.0), (3.5, 1.5), (40.0, 0.25)])
+def test_tanh_sinh_integrates_endpoint_powers(p, q):
+    # int_0^1 u^p (1 - u)^q du = B(p + 1, q + 1), with the power at 0 taken from log u, so
+    # that p near -1, whose mass lies at u ~ e^(-1/(p+1)), is resolved
+    exact = math.exp(math.lgamma(p + 1) + math.lgamma(q + 1) - math.lgamma(p + q + 2))
+    lam = 40.0 / min(1.0, p + 1.0)
+    v0, w = quad.tanh_sinh_window(lam, 40.0)
+
+    def f(v):
+        log_u, log_rest, log_jac = quad.tanh_sinh(v0 + v)
+        return np.exp(p * log_u + q * log_rest + log_jac)
+
+    value, err = quad.trapezoid(f, w, 1e-13)
+    assert abs(value - exact) <= max(err, 1e-13 * exact)
 
 
-def _borel_closed(nu, x, t):
-    """int_0^t (1+s)^(-nu) e^(-s/x) ds for nu = 0 and nu = -2, from the antiderivative."""
-    poly = {0: lambda s: 1.0, -2: lambda s: (1 + s) ** 2 + 2 * x * (1 + s) + 2 * x * x}[nu]
-    anti = lambda s: -x * np.exp(-s / x) * poly(s)
-    return anti(t) - anti(0.0)
+def test_tanh_sinh_window_reaches_the_ends_it_promises():
+    v0, w = quad.tanh_sinh_window(30.0, 700.0)
+    log_u, _, _ = quad.tanh_sinh(np.array([v0 - w]))
+    _, log_rest, _ = quad.tanh_sinh(np.array([v0 + w]))
+    assert log_u[0] <= -30.0 + 1e-9 and log_rest[0] <= -700.0 + 1e-9
 
 
-@pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
-def test_chain_integrates_exponential_on_a_polyline(tol):
-    # |e^(c s)| <= e^2.5 on the path, so rounding stays below the smallest tol
-    points = [0.0, 1.0 + 1.0j, 2.0 - 0.5j, 3.0]
-    for c in (-1.0 + 2.0j, 0.5 + 3.0j, -12.0):
-        exact = _exp_chain(c, points)
-        assert abs(quad.integrate_chain(lambda s: np.exp(c * s), points, tol) - exact) <= tol
+@pytest.mark.parametrize("a", [0.0, 0.5, 3.0])
+def test_exp_exp_integrates_exponential_decay(a):
+    # int_0^inf r^a e^(-r) dr = Gamma(a + 1)
+    v0, w = quad.exp_exp_window(40.0, 2.0 * (40.0 + a * math.log(80.0)))
 
+    def f(v):
+        r, jac = quad.exp_exp(v0 + v)
+        return r ** a * np.exp(-r) * jac
 
-@pytest.mark.parametrize("nu", [0, -2])
-def test_chain_integrates_the_borel_integrand(nu):
-    # the integrand of borel.laplace_sum on the real ray, with its breaks
-    x, t = 0.2 + 0.1j, 12.0
-    for tol in (1e-8, 1e-12):
-        value = quad.integrate_chain(lambda s: (1 + s) ** (-nu) * np.exp(-s / x),
-                                     [0.0, 0.5, 1.6, 4.0, t], tol)
-        assert abs(value - _borel_closed(nu, x, t)) <= tol
-
-
-def test_chain_refuses_a_non_finite_integrand():
-    with pytest.raises(ToleranceError, match="not finite"):
-        quad.integrate_chain(lambda s: np.where(s < 0.5, 1.0, np.nan), [0.0, 1.0], 1e-8)
-
-
-def _panel(f, a, b):
-    """One Gauss-Legendre panel from a to b."""
-    return quad.gl_panel(f, np.array([0.5 * (a + b)]), np.array([0.5 * (b - a)]))[0]
-
-
-def test_batched_panels_agree_with_single_panels():
-    f = lambda s: np.exp((0.3 - 2.0j) * s) / (1.0 + s * s)
-    a = np.array([0.0, 0.25, 1.0 + 1.0j, -2.0])
-    b = np.array([0.25, 1.0 + 1.0j, 3.0, -1.5 + 0.1j])
-    batch = quad.gl_panel(f, 0.5 * (a + b), 0.5 * (b - a))
-    assert batch.shape == (4,)
-    for value, lo, hi in zip(batch, a, b):
-        single = _panel(f, lo, hi)
-        assert abs(value - single) <= 4 * EPS * abs(single)
-
-
-def _one_panel_walk(f, points, tol_abs, max_depth=48):
-    """The panels (centre, half-length) an adaptive rule evaluates with one panel at a
-    time, its depth-first sum of the accepted pairs, and the sum of their moduli."""
-    panels, total, scale = [], 0j, 0.0
-    budget = tol_abs / (len(points) - 1)
-
-    def panel(a, b):
-        panels.append((0.5 * (a + b), 0.5 * (b - a)))
-        return _panel(f, a, b)
-
-    for a, b in zip(points, points[1:]):
-        stack = [(a, b, panel(a, b), budget, 0)]
-        while stack:
-            a0, b0, whole, tol0, depth = stack.pop()
-            mid = 0.5 * (a0 + b0)
-            left, right = panel(a0, mid), panel(mid, b0)
-            if abs(whole - left - right) <= tol0 or depth >= max_depth:
-                total += left + right
-                scale += abs(left + right)
-            else:
-                stack += [(a0, mid, left, tol0 / 2, depth + 1), (mid, b0, right, tol0 / 2, depth + 1)]
-    return panels, total, scale
-
-
-def _record_panels(monkeypatch, module):
-    """The panels (centre, half-length) of every gl_panel call, one list per call, and the
-    segment count of every chain ``module`` starts; more than 1000 calls raise."""
-    calls, segments = [], []
-    panel, chain = quad.gl_panel, quad.integrate_chain
-
-    def recorded(f, mid, half):
-        calls.append(list(zip(mid.tolist(), half.tolist())))
-        if len(calls) > 1000:
-            raise RuntimeError("more than 1000 gl_panel calls")
-        return panel(f, mid, half)
-
-    monkeypatch.setattr(quad, "gl_panel", recorded)
-    monkeypatch.setattr(module, "integrate_chain",
-                        lambda f, points, tol_abs: segments.append(len(points) - 1)
-                        or chain(f, points, tol_abs))
-    return calls, segments
-
-
-def test_chain_evaluates_the_panels_of_a_one_panel_walk(monkeypatch):
-    # a pole 0.01 off the path forces several levels of bisection
-    g = lambda s: 1.0 / (s - (0.7 + 0.01j))
-    points = [0.0, 0.5, 1.0, 2.0]
-    expected, reference, scale = _one_panel_walk(g, points, 1e-12)
-    assert len(expected) > 6 * len(points)
-    calls, _ = _record_panels(monkeypatch, quad)
-    value = quad.integrate_chain(g, points, 1e-12)
-    assert sorted(sum(calls, [])) == sorted(expected)
-    assert len(calls[0]) == 3 * (len(points) - 1)
-    assert max(map(len, calls)) <= 2 * quad._BATCH
-    assert abs(value - reference) <= 2 * EPS * scale
-
-
-def test_lateral_sums_batch_their_panels(monkeypatch):
-    calls, _ = _record_panels(monkeypatch, borel)
-    su.two_sided_values(0.5, su.SeriesKind.PSI, 0.15)
-    assert 1 < len(calls) <= 4
+    value, err = quad.trapezoid(f, w, 1e-13)
+    assert abs(value - math.gamma(a + 1)) <= max(err, 1e-13 * math.gamma(a + 1))
+    r_lo, _ = quad.exp_exp(np.array([v0 - w]))
+    r_hi, _ = quad.exp_exp(np.array([v0 + w]))
+    assert r_lo[0] <= math.exp(-40.0) and r_hi[0] >= 2.0 * (40.0 + a * math.log(80.0))
 
 
 def test_stokes_jump_sums_one_loop_without_panels(monkeypatch):
-    calls, _ = _record_panels(monkeypatch, borel)
-    nodes, trapezoid = [], quad.trapezoid
-    monkeypatch.setattr(borel, "trapezoid", lambda f, w, rtol: trapezoid(
-        lambda theta: nodes.append(theta) or f(theta), w, rtol))
+    # one trapezoid sum over the Hankel loop, and no lateral Laplace sum
+    calls = _counting(monkeypatch, borel)
+    monkeypatch.setattr(borel, "laplace_sum", lambda query: pytest.fail("the jump took a lateral sum"))
     su.stokes_jump_quadrature(0.5, su.SeriesKind.PSI, 0.15, tol=1e-10)
-    assert calls == []
-    assert 1 <= len(nodes) <= 2
-
-
-def _refusal_bound(segments):
-    """Panels a refusal may cost: the first call, and at most _MAX_DEPTH + 1 full batches."""
-    return 3 * segments + 2 * quad._BATCH * (quad._MAX_DEPTH + 1)
+    assert 1 <= len(calls) <= 2
 
 
 def test_tolerance_below_the_rounding_floor_is_refused_promptly(monkeypatch):
-    # at 1e-16 rounding keeps some panel's estimate just above its budget; the walk
-    # must refuse at the depth limit, not bisect the whole tree below it
-    calls, segments = _record_panels(monkeypatch, borel)
+    # at 1e-16 the rounding estimate of the first piece exceeds the request, which it
+    # reports at once instead of doubling toward the node cap
+    calls = _counting(monkeypatch, borel)
     query = su.LaplaceQuery(0.5, su.SeriesKind.PSI, 0.1, math.pi / 12, 1e-16)
-    with pytest.raises(ToleranceError, match="stalled"):
+    with pytest.raises(ToleranceError, match="rounding estimate"):
         su.laplace_sum(query)
-    assert len(calls) <= 1000
-    assert sum(map(len, calls)) <= _refusal_bound(*segments)
+    assert len(calls) <= 2 and sum(calls) <= 2 * (2 * quad._TRAP_N0 + 1)
 
 
-def test_two_pole_integral_refuses_a_tolerance_below_rounding_in_bounded_panels(monkeypatch):
-    # a walk that bisects every failing panel of a level at once doubles its panels at
-    # each level here and runs out of memory
-    calls, segments = _record_panels(monkeypatch, perturbed)
-    with pytest.raises(ToleranceError, match="stalled"):
+def test_two_pole_integral_refused_by_the_rounding_estimate_within_the_first_levels(monkeypatch):
+    calls = _counting(monkeypatch, perturbed)
+    with pytest.raises(ToleranceError, match="rounding estimate"):
         perturbed._two_pole_integral(0.1, 2.0, 5.0, 10.0, 1e-20)
-    assert len(calls) <= 1000
-    assert sum(map(len, calls)) <= _refusal_bound(*segments)
+    assert len(calls) <= 3 and sum(calls) <= 8 * quad._TRAP_N0 + 1
 
 
 def _gaussian(a, b):

@@ -2,29 +2,33 @@
 held to the bound its docstring states, on seeded samples of its domain."""
 
 import cmath
+import functools
 import math
 
 import numpy as np
 import pytest
 
 import stokes_unfold as su
-from stokes_unfold import perturbed, quad
+from stokes_unfold import borel, perturbed, quad
 from stokes_unfold.borel import LaplaceQuery, laplace_sum
 from stokes_unfold.errors import DoubleRangeError, SingularDirectionError, ToleranceError
 from stokes_unfold.perturbed import OffDiagonal, PerturbParams
 
 mp = pytest.importorskip("mpmath")
+EPS = np.finfo(float).eps
 
 
-def _ray_integral(nu, kind, x, theta):
+@functools.lru_cache(maxsize=None)
+def _ray_integral(nu, kind, x, theta, near=()):
     """x^{-1} int_0^{infty e^{i theta}} (1 -+ zeta)^{-nu} e^{-zeta/x} d zeta at 30 digits,
-    on the principal branch continued from zeta = 0."""
+    on the principal branch continued from zeta = 0, with the extra breaks ``near``."""
     with mp.workdps(30):
         d = mp.expjpi(mp.mpf(theta) / mp.pi)
         x, nu = mp.mpc(x), mp.mpc(nu)
         c1 = (-1 if kind is su.SeriesKind.PSI else 1) * d
         rate = (d / x).real
-        breaks = [0, 0.5, 1.6, 4.0] + [4.0 + k / rate for k in (4, 16, 64)] + [mp.inf]
+        breaks = sorted({0.0, 0.5, 1.6, 4.0, *near})
+        breaks += [breaks[-1] + k / rate for k in (4, 16, 64)] + [mp.inf]
         value = mp.quad(lambda s: mp.exp(-nu * mp.log(1 + c1 * s) - d * s / x), breaks)
         return complex(d / x * value)
 
@@ -52,6 +56,56 @@ def _laplace_queries(seed, count):
 def test_laplace_sum_within_tol(query):
     reference = _ray_integral(query.nu, query.kind, query.x, query.theta)
     assert abs(laplace_sum(query) - reference) <= query.tol
+
+
+def _near_breaks(query):
+    """Breaks at s* +- {1, 10, 100} clearance, where the ray passes closest to zeta = 1:
+    without them mp.quad is off by up to 1.2e-3 when the ray passes 1e-3 from the cut."""
+    rel = query.theta - borel.singular_direction(query.kind)
+    star, clearance = math.cos(rel), abs(math.sin(rel))
+    return tuple(b for b in (star + k * clearance for k in (0, -1, 1, -10, 10, -100, 100)) if b > 0.0)
+
+
+def _near_margin_queries():
+    """Rays clearing zeta = 1 by 1.01, 10 and 100 times the admissible 10 sqrt(tol), for four
+    nu and tol 1e-6, 1e-9 and 1e-12, PSI and PHI in turn, with |x| = 0.2 at 0.3 from the ray."""
+    out = []
+    for nu in (0.5, 2.71, -1.5, 4.2):
+        for tol in (1e-6, 1e-9, 1e-12):
+            for j, factor in enumerate((1.01, 10.0, 100.0)):
+                kind = (su.SeriesKind.PSI, su.SeriesKind.PHI)[j % 2]
+                theta = borel.singular_direction(kind) + math.asin(min(1.0, factor * 10.0 * math.sqrt(tol)))
+                out.append(LaplaceQuery(nu, kind, 0.2 * cmath.exp(1j * (theta - 0.3)), theta, tol))
+    return out
+
+
+def test_laplace_sum_near_the_admissibility_margin():
+    # within tol or refused; the adaptive Gauss-Legendre chain this rule replaced refused 13
+    # of these 36, and the rule may refuse no more
+    refused = []
+    for query in _near_margin_queries():
+        try:
+            value = laplace_sum(query)
+        except ToleranceError:
+            refused.append(query)
+            continue
+        reference = _ray_integral(query.nu, query.kind, query.x, query.theta, _near_breaks(query))
+        assert abs(value - reference) <= query.tol, query
+    assert len(refused) <= 13, refused
+
+
+def test_laplace_sum_where_the_chain_stalled():
+    # the ray clears zeta = 1 by 0.28, yet the Gauss-Legendre chain refused this query
+    # ("quadrature stalled" on a panel 4e-15 wide); the rule returns it within tol or
+    # refuses it by its rounding estimate
+    query = LaplaceQuery(5.936539728737454 + 0.42535135212292974j, su.SeriesKind.PHI,
+                         -0.33160106602671907 - 0.3249240580234746j, -3.4276585900277157, 1e-11)
+    try:
+        value = laplace_sum(query)
+    except ToleranceError as exc:
+        assert "rounding estimate" in str(exc)
+        return
+    assert abs(value - _ray_integral(query.nu, query.kind, query.x, query.theta, _near_breaks(query))) <= query.tol
 
 
 def _two_pole(s, p, q, span):
@@ -84,6 +138,7 @@ def test_ratio_integral_check_within_1e12(a, b, x, tol):
     assert abs(closed - exact) <= 1e-12 * abs(exact)
 
 
+@functools.lru_cache(maxsize=None)
 def _offdiag_reference(nu, sqrt_eps, x):
     """Phi12 / Phi13 at real x: ((x - s)/(x + s))^z times the two-pole integral, and
     half of it on the x_L side."""
@@ -140,6 +195,74 @@ def test_offdiag_phi13_past_the_overflow_of_phi1():
     for k, exact in ((0.1, 0.0106922542396534), (1.0, 0.0207778344425008)):
         value = su.offdiag_solution_quadrature(PerturbParams(0.5, s), -s - k * s, OffDiagonal.PHI13)
         assert value == pytest.approx(exact, rel=1e-12)
+
+
+_PHI12_OUT_TO_ONE = [(nu, n) for nu in (0.5, 3.3, -0.5, 2.71) for n in (100, 1000, 5000, 20000)]
+
+
+@pytest.mark.parametrize("nu, n", _PHI12_OUT_TO_ONE)
+def test_offdiag_phi12_out_to_x_one(nu, n):
+    # PHI12 from x_R to x = 1 along the resonant sequence, 1/sqrt_eps up to 4 10^4: within
+    # tol 1e-10 everywhere; at tol 1e-12 within tol, or refused by the rounding estimate,
+    # which grows as (p + |q|) eps = eps / sqrt_eps, past 1/sqrt_eps of about 4500
+    params = PerturbParams.from_resonant_index(nu, n)
+    exact = _offdiag_reference(nu, params.sqrt_eps, 1.0)
+    value = su.offdiag_solution_quadrature(params, 1.0, OffDiagonal.PHI12, 1e-10)
+    assert abs(value - exact) <= 1e-10 * abs(exact)
+    try:
+        value = su.offdiag_solution_quadrature(params, 1.0, OffDiagonal.PHI12, 1e-12)
+    except ToleranceError as exc:
+        assert "rounding estimate" in str(exc) and 1.0 / params.sqrt_eps > 4500.0
+        return
+    assert abs(value - exact) <= 1e-12 * abs(exact)
+
+
+def _recording(monkeypatch, module):
+    """The (sum, estimate) pairs of every trapezoid call ``module`` makes."""
+    calls = []
+
+    def recording(f, w, rtol, **kwargs):
+        value, err = quad.trapezoid(f, w, rtol, **kwargs)
+        calls.append((value, err))
+        return value, err
+
+    monkeypatch.setattr(module, "trapezoid", recording)
+    return calls
+
+
+def test_the_rules_estimate_bounds_the_error(monkeypatch):
+    # each value these sweeps return is within the rule's own estimate of the reference,
+    # scaled onto the value: the Laplace pieces' estimates add, over |x|; the two-pole sum
+    # is in units of H, so its estimate scales by g = value / sum, whose exponential adds
+    # its own rounding, eps (2 + |log g|) relative
+    def two_pole_bound(value, scaled, err):
+        g = abs(value / scaled)
+        return err * g + EPS * (2.0 + abs(math.log(g))) * abs(value)
+
+    laplace, two_pole = _recording(monkeypatch, borel), _recording(monkeypatch, perturbed)
+    for query in _laplace_queries(2016, 20):
+        laplace.clear()
+        error = abs(laplace_sum(query) - _ray_integral(query.nu, query.kind, query.x, query.theta))
+        assert error <= sum(err for _, err in laplace) / abs(query.x), query
+    for a, b, x, tol in _ratio_cases(13, 24):
+        with mp.workdps(40):
+            exact = complex(-1 / (2 * mp.mpf(a) * b) * ((mp.mpf(x) + a) / (mp.mpf(x) - a)) ** b)
+        quadrature, _ = su.ratio_integral_check(a, b, x, tol)
+        (scaled, err), = two_pole[-1:]
+        assert abs(quadrature - exact) <= two_pole_bound(quadrature, scaled, err), (a, b, x, tol)
+    cases = [(nu, inv, k, entry, tol) for nu, inv, k, entry, tol in _offdiag_cases(7, 24) + _OFFDIAG_EDGES
+             if _offdiag_reference(nu, 1.0 / inv, (1.0 + k) / inv * (1 if entry is OffDiagonal.PHI12 else -1)) != 0]
+    cases += [(nu, 2.0 * n + nu, (2.0 * n + nu) - 1.0, OffDiagonal.PHI12, tol)
+              for nu, n in _PHI12_OUT_TO_ONE for tol in (1e-10, 1e-12)]
+    for nu, inv, k, entry, tol in cases:
+        s = 1.0 / inv
+        x = (1.0 + k) * s * (1 if entry is OffDiagonal.PHI12 else -1)
+        try:
+            value = su.offdiag_solution_quadrature(PerturbParams(nu, s), x, entry, tol)
+        except ToleranceError:
+            continue
+        (scaled, err), = two_pole[-1:]
+        assert abs(value - _offdiag_reference(nu, s, x)) <= two_pole_bound(value, scaled, err), (nu, inv, k, entry, tol)
 
 
 def _borel_draws(seed, count):
