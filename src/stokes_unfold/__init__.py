@@ -65,16 +65,13 @@ from .perturbed import (
     SingularPoint,
     characteristic_exponents,
     classify_resonance,
-    diagonal_solutions,
     indicial_roots,
-    infinity_form_coefficients,
     log_resonant_d_values,
     monodromy_matrices,
     offdiag_solution_quadrature,
     ratio_integral_check,
     residue_numeric_oracle,
     residues,
-    scalar_form_coefficients,
     unfolded_stokes,
 )
 from .series import (

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DecayConditionError, SingularDirectionError
 from .gammas import reciprocal_gamma
-from .quad import exp_exp, exp_exp_window, tanh_sinh, tanh_sinh_window, trapezoid
+from .quad import _require_tol, exp_exp, exp_exp_window, tanh_sinh, tanh_sinh_window, trapezoid
 from .series import SeriesKind, build_series, gevrey_constants
 
 TOL_DEFAULT = 1e-10
@@ -62,8 +62,7 @@ class LaplaceQuery:
         x = complex(self.x)
         if x == 0:
             raise DecayConditionError("x must be nonzero")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        _require_tol(self.tol)
         if self.decay_rate() <= 0.0:
             raise DecayConditionError(
                 f"Re(e^(i theta)/x) = {self.decay_rate():.3e} <= 0; no decay along the ray"

@@ -236,6 +236,8 @@ def cmd_confluence(args) -> int:
 
 def cmd_oracle(args) -> int:
     if args.which == "origin":
+        if args.n is not None:
+            args.parser.error("argument --n: not used by the origin loop")
         report = unperturbed_monodromy(args.nu, tol=args.tol)
         expected_log = None
         params_json = {"nu": complex_to_json(args.nu), "which": "origin"}

@@ -30,7 +30,7 @@ class DecayConditionError(StokesUnfoldError, ValueError):
 
 
 class SingularPointError(StokesUnfoldError, ValueError):
-    """Coefficient evaluation at a singular point of the equation."""
+    """Solution data requested at a point that is not clear of the singular points."""
 
 
 class OrdinaryPointError(StokesUnfoldError, ValueError):

@@ -25,6 +25,7 @@ from .perturbed import (
     resonance_index,
     residues,
 )
+from .quad import _require_tol
 from .unperturbed import exponent_diagonals, monodromy_origin
 
 STIFFNESS_LIMIT = 12.0
@@ -76,12 +77,6 @@ class CompanionSystem:
         a = p / q
         return a if np.ndim(x) else a[0]
 
-    def singularities(self) -> tuple:
-        return self.poles
-
-    def clearance(self) -> float:
-        return CLEARANCE_FACTOR * self.scale
-
 
 @dataclass(frozen=True)
 class MonodromyReport:
@@ -116,13 +111,12 @@ def integrate_path(system: CompanionSystem, path: ContourPath, y0, tol: float = 
     PathError by the clearance rule of ``_steps`` (a path of zero length returns ``y0``);
     ToleranceError, naming the segment, when a series has not converged by 64 terms (past
     the stiffness guard, or where a step nears a singular point that the system does not
-    report); ValueError unless tol > 0.
+    report); ValueError unless tol is finite and positive.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    _require_tol(tol)
     y = as_matrix3(y0).astype(complex)
     invertible_det3(y)  # rejects non-invertible initial data
-    c, t, r, segments = _steps(path, system.singularities(), system.clearance())
+    c, t, r, segments = _steps(path, system.poles, CLEARANCE_FACTOR * system.scale)
     if not segments:  # a path of zero length
         return y
     rows = _recurrence_rows(system, c, t)

@@ -1,13 +1,13 @@
 """The perturbed Fuchsian equation, (x^2 - eps) a = Lambda x + Q in the notation of
 ``unperturbed``, with singular points at +-sqrt(eps).
 
-Covers the rational coefficients and their scalar expansion, characteristic
-exponents and indicial data at the three singular points, the resonance
-classification, the residue coefficients that gate logarithmic terms, the
-monodromy matrices at a logarithmic resonance, and the unfolded Stokes
-matrices.  Closed forms hold in the two resonance families where
-n = 1/(2 sqrt(eps)) - nu/2 is a non-negative integer; everything else
-raises ResonanceError.
+Covers the partial-fraction weights of the coefficients, characteristic exponents
+and indicial data at the three singular points, the resonance classification, the
+residue coefficients that gate logarithmic terms, the monodromy matrices at a
+logarithmic resonance, the unfolded Stokes matrices, and the diagonal and
+iterated-integral solution entries on the real axis.  Closed forms hold in the two
+resonance families where n = 1/(2 sqrt(eps)) - nu/2 is a non-negative integer;
+everything else raises ResonanceError.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from enum import Enum
 import numpy as np
 
 from .errors import (
-    BranchCutError,
     DivergentIntegralError,
     DoubleRangeError,
     OrdinaryPointError,
@@ -32,7 +31,7 @@ from .errors import (
 )
 from .gammas import log_gamma_ratio, reciprocal_gamma
 from .mat3 import exp_first_row_nilpotent
-from .quad import tanh_sinh, tanh_sinh_window, trapezoid
+from .quad import _require_tol, tanh_sinh, tanh_sinh_window, trapezoid
 from .unperturbed import exponent_diagonals
 
 INTEGRALITY_TOL = 1e-9
@@ -104,8 +103,6 @@ class ExponentData:
     delta_L21: complex
     delta_R32: complex
     delta_L32: complex
-    delta_R31: complex
-    delta_L31: complex
 
 
 @dataclass(frozen=True)
@@ -141,14 +138,7 @@ def exponent_data(nu, sqrt_eps: float) -> ExponentData:
         delta_L21=d_l21,
         delta_R32=-2.0 * h,
         delta_L32=2.0 * h,
-        delta_R31=d_l21,
-        delta_L31=d_r21,
     )
-
-
-def _check_off_singularities(params: PerturbParams, x: complex) -> None:
-    if min(abs(x - params.x_R), abs(x - params.x_L)) < _SINGULARITY_MARGIN:
-        raise SingularPointError(f"x = {x} is a singular point of the equation")
 
 
 def _partial_fraction_weights(params: PerturbParams):
@@ -156,31 +146,6 @@ def _partial_fraction_weights(params: PerturbParams):
     w_j = (Lambda + Q/x_j)/2 of (Lambda x + Q)/(x^2 - eps) at x_j."""
     lam, q = exponent_diagonals(params.nu)
     return [((l + c / params.x_R) / 2.0, (l + c / params.x_L) / 2.0) for l, c in zip(lam, q)]
-
-
-def scalar_form_coefficients(params: PerturbParams, x) -> tuple:
-    """(c2, c1, c0) of the expanded scalar equation y''' + c2 y'' + c1 y' + c0 y = 0: the
-    composed factors d/dx - a_k, with a_1's acting first, in a_k and its derivatives."""
-    x = complex(x)
-    _check_off_singularities(params, x)
-    u_r, u_l = 1.0 / (x - params.x_R), 1.0 / (x - params.x_L)
-    # a_k, -a_k' and a_k''/2: the sums of w_j u_j, w_j u_j^2 and w_j u_j^3
-    (a1, a2, a3), da, dda = ([wr * u_r**o + wl * u_l**o for wr, wl in _partial_fraction_weights(params)]
-                             for o in (1, 2, 3))
-    a1p, a2p, a1pp = -da[0], -da[1], 2.0 * dda[0]
-    c2 = -(a1 + a2 + a3)
-    c1 = a1 * a2 + a1 * a3 + a2 * a3 - 2.0 * a1p - a2p
-    c0 = a1p * a2 + a1 * a2p - a1pp + a3 * a1p - a1 * a2 * a3
-    return c2, c1, c0
-
-
-def infinity_form_coefficients(params: PerturbParams, t) -> tuple:
-    """Normalized coefficients (c2, c1, c0) of the equation after x = 1/t."""
-    t = complex(t)
-    if t == 0:
-        raise SingularPointError("t = 0 must be approached by a limit")
-    c2, c1, c0 = scalar_form_coefficients(params, 1.0 / t)
-    return 6.0 / t - c2 / t**2, 6.0 / t**2 - 2.0 * c2 / t**3 + c1 / t**4, -c0 / t**6
 
 
 def _near_integer(v, tol: float = INTEGRALITY_TOL) -> bool:
@@ -237,37 +202,17 @@ def indicial_roots(params: PerturbParams, point: SingularPoint) -> tuple:
     return tuple(pair[side] + k for k, pair in enumerate(_partial_fraction_weights(params)))
 
 
-def diagonal_solutions(params: PerturbParams, x) -> tuple:
-    """Diagonal entries Phi1, Phi2, Phi3 and the closed-form Phi23.
-
-    Factorwise principal branches of (x - x_R)^a (x - x_L)^b, so the cuts
-    run along (-inf, x_R] and (-inf, x_L]; evaluation on a cut raises.
-    """
-    x = complex(x)
-    s = params.sqrt_eps
-    if abs(x.imag) < _SINGULARITY_MARGIN and x.real <= s + _SINGULARITY_MARGIN:
-        raise BranchCutError(f"x = {x} lies on a branch cut of the diagonal solutions")
-    lr = cmath.log(x - s)
-    ll = cmath.log(x + s)
-    return _diag_from_logs(params, lr + ll, lr - ll)
-
-
 def _real_axis_diag(params: PerturbParams, x: float) -> tuple:
-    """Diagonal entries on the real trajectories |x| > sqrt(eps), using the
-    real positive determination of (x^2 - eps)^p and of the factor ratio."""
+    """Diagonal entries (Phi1, Phi2, Phi3, Phi23) on the real trajectories |x| > sqrt(eps),
+    using the real positive determination of q^p, q = (x - x_R)(x - x_L) = x^2 - eps, and of
+    the power of the factor ratio (x - x_R)/(x - x_L)."""
     s = params.sqrt_eps
     if abs(x) <= s:
         raise SingularPointError("real-axis determination needs |x| > sqrt(eps)")
     log_q = math.log(x * x - s * s)
     log_ratio = math.log((x - s) / (x + s)) if x > s else math.log((s - x) / (-x - s))
-    return _diag_from_logs(params, log_q, log_ratio)
-
-
-def _diag_from_logs(params: PerturbParams, log_q, log_ratio) -> tuple:
-    """(Phi1, Phi2, Phi3, Phi23) from the chosen logarithms of
-    q = (x - x_R)(x - x_L) and of the ratio (x - x_R)/(x - x_L)."""
     nu = params.nu
-    z = 1.0 / (2.0 * params.sqrt_eps)
+    z = 1.0 / (2.0 * s)
     phi1 = cmath.exp(z * log_ratio)
     phi2 = cmath.exp(0.5 * (nu - 2.0) * log_q + 2.0 * z * log_ratio)
     phi3 = cmath.exp(0.5 * (nu - 4.0) * log_q)
@@ -289,6 +234,7 @@ def ratio_integral_check(a: float, b: float, x: float, tol: float = 1e-10) -> tu
     leaves the range of normal doubles, DoubleRangeError states its log-magnitude;
     where the rule cannot certify tol, ToleranceError.
     """
+    _require_tol(tol)
     a = float(a)
     b = float(b)
     x = float(x)
@@ -412,6 +358,7 @@ def residue_numeric_oracle(params: PerturbParams, which: str, tol: float = 1e-10
     estimate.  From n = 64 on, the first level's 64 nodes would see u^-n as u^-(n - 64), with
     the nested 32 nodes agreeing on that alias, so such n are refused before the sum.
     """
+    _require_tol(tol)
     left = _side_column(which) == 1
     n = resonance_index(params)
     if n >= _ORACLE_ALIAS_INDEX:
@@ -477,6 +424,7 @@ def offdiag_solution_quadrature(params: PerturbParams, x, which: OffDiagonal,
     entry's scale H Phi1^(+-1) leaves the range of normal doubles, DoubleRangeError
     states its log-magnitude; where the rule cannot certify tol, ToleranceError.
     """
+    _require_tol(tol)
     if params.nu.imag != 0.0:
         raise ValueError("offdiagonal quadrature is implemented for real nu")
     nu = params.nu.real

@@ -26,6 +26,12 @@ _TRAP_CAP = 4096  # largest n a trapezoid sum doubles to
 _EPS = np.finfo(float).eps
 
 
+def _require_tol(tol: float) -> None:
+    """ValueError unless tol is finite and positive: a tolerance of inf certifies nothing."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+
+
 def tanh_sinh(v):
     """Logarithms (log u, log(1 - u), log du/dv) of u = 1 / (1 + e^(-pi sinh v)) =
     (1 + tanh((pi/2) sinh v)) / 2, which maps the real line onto (0, 1).  In logarithms

@@ -80,14 +80,18 @@ def test_parse_error_exit_code(capsys):
     (("invariants", "--nu", "172"), 3),
     (("perturbed", "--nu", "172", "--n", "1"), 3),
     (("confluence", "--nu", "172", "--n-min", "0", "--n-max", "3"), 3),
+    (("oracle", "--nu", "0.5", "--n", "1", "--which", "R", "--tol", "inf"), 3),
+    (("oracle", "--nu", "0.5", "--which", "origin", "--n", "3"), 2),
 ])
 def test_bad_input_is_refused(capsys, argv, exit_code):
-    # a non-positive or NaN tol, a non-finite nu and a nu whose Gamma overflows are refused
+    # a tol that is not finite and positive, a non-finite nu, a nu whose Gamma overflows
+    # and an --n that the origin loop would drop are refused
     if exit_code == 2:
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == 2
-        assert "argument --nu: nu must be finite" in capsys.readouterr().err
+        message = "argument --n: not used by the origin loop" if "--n" in argv else "argument --nu: nu must be finite"
+        assert message in capsys.readouterr().err
         return
     code, rec = run_json(capsys, *argv)
     assert code == rec["error"]["exit_code"] == 3

@@ -87,8 +87,8 @@ def test_perturbed_companion_matrix(nu, sqrt_eps):
     assert stack.shape == (len(OFF_AXIS_POINTS), 3, 3)
     for j, x in enumerate(OFF_AXIS_POINTS):
         assert np.array_equal(stack[j], system.matrix(x))
-    assert system.singularities() == (complex(params.x_L), complex(params.x_R))
-    assert system.clearance() == 1e-3 * sqrt_eps
+    assert system.poles == (complex(params.x_L), complex(params.x_R))
+    assert oracle.CLEARANCE_FACTOR * system.scale == 1e-3 * sqrt_eps
 
 
 @pytest.mark.parametrize("nu", [0.5, 3.0, -2.0, 0.5 + 0.25j])
@@ -101,8 +101,8 @@ def test_unperturbed_companion_matrix(nu):
     assert stack.shape == (len(OFF_AXIS_POINTS), 3, 3)
     for j, x in enumerate(OFF_AXIS_POINTS):
         assert np.array_equal(stack[j], system.matrix(x))
-    assert system.singularities() == (0j,)
-    assert system.clearance() == 1e-3
+    assert system.poles == (0j,)
+    assert oracle.CLEARANCE_FACTOR * system.scale == 1e-3
 
 
 def test_step_plan_keeps_every_step_within_reach():
@@ -110,14 +110,14 @@ def test_step_plan_keeps_every_step_within_reach():
     # the nearest singular point, so that every step's series converges at least as 0.3^m
     params = PerturbParams.from_resonant_index(0.5, 1)
     system = CompanionSystem.perturbed(params)
-    c, t, r, _ = oracle._steps(loop_around(params, "R"), system.singularities(), system.clearance())
+    c, t, r, _ = oracle._steps(loop_around(params, "R"), system.poles, oracle.CLEARANCE_FACTOR * system.scale)
     assert len(c) == 21  # pins the step count of this loop
-    assert np.allclose(np.abs(c[:, None] - np.array(system.singularities())).min(axis=1), r, rtol=1e-15, atol=0)
+    assert np.allclose(np.abs(c[:, None] - np.array(system.poles)).min(axis=1), r, rtol=1e-15, atol=0)
     assert np.all(np.abs(t) <= 0.3 * r * (1 + 1e-12))
 
 
 def test_refuses_rather_than_returns_a_wrong_matrix():
-    # with x_L missing from singularities() the steps about the L loop are sized by x_R
+    # with x_L missing from the poles the steps about the L loop are sized by x_R
     # alone, up to 0.9 of the distance to x_L, where the series converge too slowly
     params = PerturbParams.from_resonant_index(0.5, 1)
     hiding = dataclasses.replace(CompanionSystem.perturbed(params), poles=(complex(params.x_R),))
@@ -174,7 +174,7 @@ def test_contractible_loop_is_identity():
 def test_path_clearance_precondition():
     params = PerturbParams(0.5, 0.25)
     system = CompanionSystem.perturbed(params)
-    x_r, c = params.x_R, system.clearance()
+    x_r, c = params.x_R, oracle.CLEARANCE_FACTOR * system.scale
     # refused somewhere within [0.7, 1] clearance: a path ending on x_R, one passing it at
     # 0.5 clearance and a circle through it, each after finitely many steps
     for path in (polyline(0.0, x_r), polyline(0.1 + 0.5j * c, 0.4 + 0.5j * c), circle(x_r + 0.1, 0.1)):
@@ -223,8 +223,9 @@ def test_initial_data_refused_exactly_where_invertible_det3_refuses():
 
 
 def scalar_companion(params):
-    """The expanded scalar equation y^(3) + c2 y^(2) + c1 y' + c0 y = 0 of
-    scalar_form_coefficients as a system in (y, y', y^(2)) over q = s^3, s = x^2 - eps:
+    """The expanded scalar equation y^(3) + c2 y^(2) + c1 y' + c0 y = 0, the factors
+    d/dx - a_k composed with a_1's acting first, as a system in (y, y', y^(2)) over
+    q = s^3, s = x^2 - eps, so that (c0, c1, c2) is minus the last row of A = P/q:
     a_k = u_k/s with u_k = Lambda_k x + Q_k, so that a_k' = v_k/s^2 with
     v_k = Lambda_k s - 2x u_k, and a_k^(2) = -(2 u_k s + 4x v_k)/s^3."""
     poly = np.polynomial.Polynomial
@@ -248,10 +249,6 @@ def test_scalar_and_companion_routes_agree():
     # matched initial data gives the same first component
     params = PerturbParams(0.8, 0.25)
     scalar = scalar_companion(params)
-    for point in OFF_AXIS_POINTS:  # the derived numerator over q is the scalar form
-        c2, c1, c0 = su.scalar_form_coefficients(params, point)
-        assert np.allclose(scalar.matrix(point)[2], [-c0, -c1, -c2], rtol=1e-12, atol=0.0)
-
     x0, x1 = 0.5, 1.1
     path = polyline(x0, x1)
     scalar_end = su.integrate_path(scalar, path, np.eye(3), tol=1e-11)
@@ -279,7 +276,7 @@ def test_first_component_satisfies_scalar_equation():
     # uniform grid, pushed through the expanded scalar equation; the stride-2
     # stencils sit above the per-sample integration jitter
     params = PerturbParams(0.8, 0.25)
-    system = CompanionSystem.perturbed(params)
+    system, scalar = CompanionSystem.perturbed(params), scalar_companion(params)
     x0, x1 = 0.8, 1.2
     n = 480
     h = (x1 - x0) / n
@@ -302,7 +299,7 @@ def test_first_component_satisfies_scalar_equation():
     worst = 0.0
     for k in range(6, n - 5, 7):
         d1, d2, d3 = derivatives(k, 2)
-        c2, c1, c0 = su.scalar_form_coefficients(params, xs[k])
+        c0, c1, c2 = -scalar.matrix(xs[k])[2]
         worst = max(worst, abs(d3 + c2 * d2 + c1 * d1 + c0 * ys[k]))
     assert worst <= 1e-6
 
@@ -442,7 +439,7 @@ def _all_steps_transport(system, path, y0, tol):
     """integrate_path with its stopping rule evaluated for every step after every term:
     the reference that the one-step-first evaluation must match bit for bit."""
     y = np.array(y0, dtype=complex)
-    c, t, r, segments = oracle._steps(path, system.singularities(), system.clearance())
+    c, t, r, segments = oracle._steps(path, system.poles, oracle.CLEARANCE_FACTOR * system.scale)
     rows = oracle._recurrence_rows(system, c, t)
     n, k, width = len(c), oracle._MAX_TERMS, rows.shape[-1]
     zw = np.zeros((n, 1, 6 * k + width, 3), dtype=complex)

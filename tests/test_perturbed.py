@@ -20,13 +20,11 @@ from stokes_unfold import (
     quad,
 )
 from stokes_unfold.errors import (
-    BranchCutError,
     DivergentIntegralError,
     DoubleRangeError,
     OrdinaryPointError,
     PathError,
     ResonanceError,
-    SingularPointError,
     ToleranceError,
 )
 from stokes_unfold.perturbed import log_resonant_d_range, monodromy_exponent_factor, resonance_index
@@ -91,45 +89,6 @@ def test_coefficients_confluence_limit():
     assert abs(a1 - 1.0 / x**2) <= 2e-6
 
 
-def test_coefficients_singularity_error():
-    p = PerturbParams(0.5, 0.2)
-    for x_j in (p.x_L, p.x_R):
-        with pytest.raises(SingularPointError):
-            su.scalar_form_coefficients(p, x_j)
-
-
-def test_scalar_form_fuchs_pole_orders():
-    # c_i (x - x_j)^{3-i} admits a finite limit at each finite singular point
-    p = PerturbParams(1.2, 0.25)
-    for x_j in (p.x_L, p.x_R):
-        for h in (1e-5, 5e-6):
-            g1 = [c * h ** (3 - i) for i, c in zip((2, 1, 0), su.scalar_form_coefficients(p, x_j + h))]
-            g2 = [
-                c * (h / 2) ** (3 - i)
-                for i, c in zip((2, 1, 0), su.scalar_form_coefficients(p, x_j + h / 2))
-            ]
-        for a, b in zip(g1, g2):
-            assert abs(a - b) <= 2e-4 * max(1.0, abs(a))
-
-
-def test_infinity_transform_matches_displayed_form_at_nu_zero():
-    # the y''-free transformed equation at nu = 0, against its displayed
-    # coefficients (with the (1 -+ sqrt(eps) t)^2 denominators)
-    p = PerturbParams(0.0, 0.2)
-    s, eps, t = 0.2, 0.04, 0.1
-    c2, c1, c0 = su.infinity_form_coefficients(p, t)
-    disp_c2 = -3 * s * (1 - 1 / (2 * s)) / (1 - s * t) + 3 * s * (1 + 1 / (2 * s)) / (1 + s * t)
-    disp_c1 = (
-        (-2 * eps + 0.5) / (1 - s * t)
-        + (-2 * eps + 0.5) / (1 + s * t)
-        + eps * (1 - 3 / (2 * s) + 1 / (2 * eps)) / (1 - s * t) ** 2
-        + eps * (1 + 3 / (2 * s) + 1 / (2 * eps)) / (1 + s * t) ** 2
-    )
-    assert c2 == pytest.approx(disp_c2, abs=1e-10)
-    assert c1 == pytest.approx(disp_c1, abs=1e-10)
-    assert abs(c0) <= 1e-10
-
-
 def test_characteristic_exponent_values():
     p = PerturbParams(0.5, 2.0 / 9.0)
     e = su.characteristic_exponents(p)
@@ -143,13 +102,12 @@ def test_exponent_difference_identities():
     for _ in range(20):
         p = PerturbParams(rng.uniform(-4, 4), 1.0 / rng.uniform(1.5, 9.0))
         e = su.characteristic_exponents(p)
-        for rho, d21, d32, d31 in ((e.rho_R, e.delta_R21, e.delta_R32, e.delta_R31),
-                                   (e.rho_L, e.delta_L21, e.delta_L32, e.delta_L31)):
+        # rho_3 - rho_1 at one point is delta_21 at the other
+        for rho, d21, d32, other21 in ((e.rho_R, e.delta_R21, e.delta_R32, e.delta_L21),
+                                       (e.rho_L, e.delta_L21, e.delta_L32, e.delta_R21)):
             assert d21 == pytest.approx(rho[1] - rho[0], abs=1e-12)
             assert d32 == pytest.approx(rho[2] - rho[1], abs=1e-12)
-            assert d31 == pytest.approx(rho[2] - rho[0], abs=1e-12)
-        assert e.delta_R31 == pytest.approx(e.delta_L21, abs=1e-12)
-        assert e.delta_L31 == pytest.approx(e.delta_R21, abs=1e-12)
+            assert other21 == pytest.approx(rho[2] - rho[0], abs=1e-12)
         assert e.delta_L21 == pytest.approx(e.delta_R21 + e.delta_R32, abs=1e-12)
         assert e.delta_L32 == pytest.approx(1.0 / p.sqrt_eps, abs=1e-12)
         # exponent sum over all three points is the Fuchs constant 3
@@ -227,37 +185,27 @@ def test_resonance_index():
 
 def test_diagonal_solutions_identities():
     p = PerturbParams(1.3, 0.2)
-    x = 0.4 + 0.3j
-    phi1, phi2, phi3, phi23 = su.diagonal_solutions(p, x)
-    ratio = ((x + p.sqrt_eps) / (x - p.sqrt_eps)) ** (1.0 / p.sqrt_eps)
-    assert phi23 / phi2 == pytest.approx(-0.5 * ratio, rel=1e-12)
-    # product of the diagonal entries carries exponent sum nu-3 and the
-    # accumulated ratio power 3/(2 sqrt(eps))
     nu, s = 1.3, p.sqrt_eps
-    prod = phi1 * phi2 * phi3
-    direct = cmath.exp(
-        (nu - 3.0) * (cmath.log(x - s) + cmath.log(x + s))
-        + 1.5 / s * (cmath.log(x - s) - cmath.log(x + s))
-    )
-    assert prod == pytest.approx(direct, rel=1e-12)
+    for x in (0.45, -0.7):  # both real trajectories, |x| > sqrt(eps)
+        phi1, phi2, phi3, phi23 = perturbed._real_axis_diag(p, x)
+        ratio = ((x + s) / (x - s)) ** (1.0 / s)
+        assert phi23 / phi2 == pytest.approx(-0.5 * ratio, rel=1e-12)
+        # product of the diagonal entries carries exponent sum nu-3 and the
+        # accumulated ratio power 3/(2 sqrt(eps))
+        direct = math.exp((nu - 3.0) * math.log(x * x - s * s) + 1.5 / s * math.log((x - s) / (x + s)))
+        assert phi1 * phi2 * phi3 == pytest.approx(direct, rel=1e-12)
 
 
 def test_diagonal_solutions_confluence_limit():
     x = 0.4
-    phi1 = su.diagonal_solutions(PerturbParams(0.5, 1e-3), x)[0]
+    phi1 = perturbed._real_axis_diag(PerturbParams(0.5, 1e-3), x)[0]
     assert abs(phi1 - math.exp(-1.0 / x)) <= 1e-4 * math.exp(-1.0 / x)
 
 
 def test_diagonal_solutions_nu4_third_entry():
     p = PerturbParams(4.0, 0.2)
-    assert su.diagonal_solutions(p, 0.7 + 0.1j)[2] == pytest.approx(1.0, rel=1e-14)
-
-
-def test_diagonal_solutions_cut_error():
-    p = PerturbParams(0.5, 0.2)
-    for x in (-1.0, 0.1, p.x_R, -0.3):
-        with pytest.raises(BranchCutError):
-            su.diagonal_solutions(p, x)
+    for x in (0.7, -0.7):
+        assert perturbed._real_axis_diag(p, x)[2] == pytest.approx(1.0, rel=1e-14)
 
 
 def test_ratio_integral_closed_forms():

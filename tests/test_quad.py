@@ -166,3 +166,26 @@ def test_trapezoid_refusal_names_the_bound_that_set_the_request():
     # where rtol |T| is the larger, the message names rtol although atol is set
     with pytest.raises(ToleranceError, match=r"\(rtol 1e-17\)$"):
         quad.trapezoid(lambda t: np.exp(np.cos(t)), math.pi, 1e-17, atol=1e-30)
+
+
+_RESONANT = su.PerturbParams.from_resonant_index(0.5, 2)
+TOL_ENTRY_POINTS = {
+    "integrate_path": lambda tol: su.integrate_path(su.CompanionSystem.perturbed(_RESONANT),
+                                                    su.polyline(0.5, 0.6), np.eye(3), tol),
+    "numerical_monodromy": lambda tol: su.numerical_monodromy(_RESONANT, "R", tol),
+    "unperturbed_monodromy": lambda tol: su.unperturbed_monodromy(0.5, tol=tol),
+    "residue_numeric_oracle": lambda tol: su.residue_numeric_oracle(_RESONANT, "R", tol),
+    "offdiag_solution_quadrature": lambda tol: su.offdiag_solution_quadrature(_RESONANT, 0.5, su.OffDiagonal.PHI12, tol),
+    "ratio_integral_check": lambda tol: su.ratio_integral_check(0.5, 2.0, -1.0, tol),
+    "laplace_sum": lambda tol: su.laplace_sum(su.LaplaceQuery(0.5, su.SeriesKind.PSI, 0.2, 0.3, tol)),
+    "stokes_jump_quadrature": lambda tol: su.stokes_jump_quadrature(0.5, su.SeriesKind.PSI, 0.15, tol),
+}
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("entry", sorted(TOL_ENTRY_POINTS))
+def test_tol_must_be_finite_and_positive(entry, tol):
+    # an infinite tol would certify whatever the rule or the series returned, and the
+    # others would be refused later as unreachable (ToleranceError, exit 5), not as input
+    with pytest.raises(ValueError, match=f"tol must be finite and positive, got {tol}"):
+        TOL_ENTRY_POINTS[entry](tol)

@@ -1,5 +1,6 @@
 """Repository-level guards: the README's library example and command lines run as
-written, and no module of the package imports a name it never uses."""
+written, no module of the package imports a name it never uses, and every name the
+package re-exports has a caller in the package or a use in the README."""
 
 import ast
 import re
@@ -60,3 +61,31 @@ def test_module_uses_every_import(module):
     tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
     unused = _unused_imports(tree)
     assert not unused, f"{module} imports names it never uses (line, name): {unused}"
+
+
+def _reexports() -> list:
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    return sorted(alias.asname or alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
+                  for alias in node.names)
+
+
+def _loaded_outside_definition(tree, name: str) -> bool:
+    """Whether ``name`` is read, as a name or an attribute, outside its own module-level
+    def or class statement."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name:
+            continue
+        for sub in ast.walk(node):
+            if (isinstance(sub, ast.Name) and sub.id == name and isinstance(sub.ctx, ast.Load)
+                    or isinstance(sub, ast.Attribute) and sub.attr == name):
+                return True
+    return False
+
+
+def test_every_reexport_has_a_caller_or_a_readme_use():
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    readme = README.read_text(encoding="utf-8")
+    unreached = [name for name in _reexports()
+                 if not any(_loaded_outside_definition(tree, name) for tree in trees)
+                 and not re.search(rf"\b{re.escape(name)}\b", readme)]
+    assert not unreached, f"re-exported with no caller in the package and no README use: {unreached}"
