@@ -68,9 +68,11 @@ class LaplaceQuery:
                 f"Re(e^(i theta)/x) = {self.decay_rate():.3e} <= 0; no decay along the ray"
             )
         _, clearance = _closest_approach(self.theta - singular_direction(self.kind))
-        if clearance < _RAY_MARGIN * math.sqrt(self.tol):
+        margin = _RAY_MARGIN * math.sqrt(self.tol)
+        if clearance < margin:
             raise SingularDirectionError(
-                f"ray at theta = {self.theta} passes within {clearance:.2e} of the Borel singularity"
+                f"ray at theta = {self.theta} passes within {clearance:.2e} of the Borel singularity, "
+                f"inside the margin 10 sqrt(tol) = {margin:.2e} that tol = {self.tol:g} asks for"
             )
 
 
@@ -90,7 +92,8 @@ def laplace_sum(query: LaplaceQuery) -> complex:
     admissible directions.
 
     The ray is broken at its closest approach s* to zeta = 1, so the near-singularity
-    ends both pieces: tanh-sinh carries [0, s*], and exp-exp [s*, inf) in r = c (s - s*),
+    ends both pieces: tanh-sinh carries [0, s*] from a first level of 129 nodes, which its
+    sums reach, and exp-exp [s*, inf) in r = c (s - s*),
     c the decay rate, sharing the absolute budget 0.5 tol |x|.  Each end of a
     window is cut where what it leaves out is below eps of that budget, and
     ``quad.trapezoid`` certifies each sum or raises ToleranceError.
@@ -128,7 +131,7 @@ def laplace_sum(query: LaplaceQuery) -> complex:
             _, log_rest, log_jac = tanh_sinh(v0 + v)
             return integrand(-star * np.exp(log_rest)) * (star * np.exp(log_jac))
 
-        total += trapezoid(head, w, 0.0, atol=budget, cond=cond)[0]
+        total += trapezoid(head, w, 0.0, atol=budget, cond=cond, n0=64)[0]
     # at r = c d the integrand is below e^log_peak (1 + r/c)^g e^(-r), g = max(0, -Re nu),
     # and (1 + r/c)^g e^(-r/2) peaks at r = 2g - c, so past R what is left is below
     # 2 e^(log_peak + log_bump - R/2) / c
@@ -181,13 +184,16 @@ def stokes_jump_quadrature(nu, kind: SeriesKind, x, tol: float = TOL_DEFAULT) ->
     the branch on which the PHI closed form holds.
 
     The (x, tol) for which either ray's ``LaplaceQuery.validate`` raises are refused
-    with the same errors.  By Cauchy's theorem minus - plus is the Laplace integral of the
-    Borel transform over a loop around its cut; with zeta = 1 + tau it is
+    with the same errors: among them every tol above (sin(pi/12)/10)^2 = 6.7e-4, whose
+    margin 10 sqrt(tol) the rays at +-pi/12 do not clear.  By Cauchy's theorem minus -
+    plus is the Laplace integral of the Borel transform over a loop around its cut; with
+    zeta = 1 + tau it is
     x^{-1} e^{-1/x} times the loop integral of (-tau)^{-nu} e^{-tau/x}.  On
     the parabola tau = -|x| mu p^2, p = 1 + i theta (``_hankel_parabola``),
     c = -2 i k^{1-nu} times the integral over theta of p^{1-2 nu} e^{k p^2},
     k = mu e^{-i arg x}, from which the nu = 0 loop (integral 0) is
-    subtracted; ``quad.trapezoid`` sums it, and no Gamma function enters.
+    subtracted; ``quad.trapezoid`` sums it from a first level of 129 nodes, and no Gamma
+    function enters.
     PHI at x is PSI at -x, since zeta -> -zeta maps one Borel transform and
     its rays onto the other, times e^{-i pi nu}: arg(-x) = arg x + pi on the
     lower edge.  At nu = 0, -1, -2, ... the Borel transform is a polynomial
@@ -201,8 +207,9 @@ def stokes_jump_quadrature(nu, kind: SeriesKind, x, tol: float = TOL_DEFAULT) ->
     to 0 (within 1e-7 of -1 at tol 1e-10).  On real nu in [1e-15, 4],
     |arg x| <= 1.2 (PSI) or |arg(-x)| <= 1.2 (PHI) and tol in [1e-14, 1e-8]
     it is within 1e-13 relative of 30-digit values of the closed forms where
-    it does not refuse, in 1 or 2 integrand calls on real x;
-    tests/test_reference_mpmath.py holds it to 1e-9 there.
+    it does not refuse; tests/test_reference_mpmath.py holds it to 1e-9 there.  On
+    real x and tol >= 1e-13 it makes one integrand call of 129 nodes (a second, of 128,
+    near nu = 1 at tol of a few 1e-14).
     """
     x = complex(x)
     nu = complex(nu)
@@ -214,7 +221,7 @@ def stokes_jump_quadrature(nu, kind: SeriesKind, x, tol: float = TOL_DEFAULT) ->
     a = cmath.phase(x if kind is SeriesKind.PSI else -x)
     mu, w = _hankel_parabola(nu, a)
     k = mu * cmath.exp(-1j * a)
-    loop, _ = trapezoid(_loop_integrand(nu, k), w, tol)
+    loop, _ = trapezoid(_loop_integrand(nu, k), w, tol, n0=64)
     c = -2j * cmath.exp((1.0 - nu) * cmath.log(k)) * loop
     return c if kind is SeriesKind.PSI else c * cmath.exp(-1j * math.pi * nu)
 

@@ -111,9 +111,13 @@ def integrate_path(system: CompanionSystem, path: ContourPath, y0, tol: float = 
     PathError by the clearance rule of ``_steps`` (a path of zero length returns ``y0``);
     ToleranceError, naming the segment, when a series has not converged by 64 terms (past
     the stiffness guard, or where a step nears a singular point that the system does not
-    report); ValueError unless tol is finite and positive.
+    report); ValueError unless 0 < tol < 1, since a relative bound of 1 or more lets a
+    step's truncation be as large as the step's own transport.
     """
     _require_tol(tol)
+    if tol >= 1.0:
+        raise ValueError(f"tol must be below 1, got {tol}: a step's truncation may otherwise "
+                         f"be as large as the step's transport")
     y = as_matrix3(y0).astype(complex)
     invertible_det3(y)  # rejects non-invertible initial data
     c, t, r, segments = _steps(path, system.poles, CLEARANCE_FACTOR * system.scale)

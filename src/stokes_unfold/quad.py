@@ -4,13 +4,14 @@ interval or a half-line onto the real line for it.
 ``trapezoid`` serves integrands analytic in a strip about the real line and either
 negligible past its ends or periodic, where the rule converges geometrically in the node
 count (Trefethen & Weideman, SIAM Rev. 56, 2014); it reports its own error estimate and
-refuses what it cannot certify.  After ``tanh_sinh`` (onto (0, 1)) or ``exp_exp`` (onto
-(0, inf), for integrands that decay exponentially) an integrand analytic on the open
-interval, with at worst algebraic behaviour at a finite end, decays double-exponentially
-in the new variable, so the same rule converges geometrically without breaks graded
-toward an endpoint (Takahasi & Mori, Publ. RIMS 9, 1974; Mori & Sugihara, J. Comput.
-Appl. Math. 127, 2001).  Each map comes with the window of the new variable outside of
-which its ends are as small as the caller asks.
+refuses what it cannot certify.  Its first level has 65 nodes; the Stokes jump and the
+head of a Laplace sum, whose sums reach 129, start there instead.  After ``tanh_sinh``
+(onto (0, 1)) or ``exp_exp`` (onto (0, inf), for integrands that decay exponentially) an
+integrand analytic on the open interval, with at worst algebraic behaviour at a finite
+end, decays double-exponentially in the new variable, so the same rule converges
+geometrically without breaks graded toward an endpoint (Takahasi & Mori, Publ. RIMS 9,
+1974; Mori & Sugihara, J. Comput. Appl. Math. 127, 2001).  Each map comes with the window
+of the new variable outside of which its ends are as small as the caller asks.
 """
 
 from __future__ import annotations
@@ -66,9 +67,11 @@ def exp_exp_window(lam_lo: float, r_hi: float) -> tuple[float, float]:
     return 0.5 * (lo + hi), 0.5 * (hi - lo)
 
 
-def trapezoid(f, w: float, rtol: float, atol: float = 0.0, cond: float = 1.0) -> tuple[complex, float]:
-    """Trapezoid sum of f over [-w, w] with 2n + 1 equispaced nodes, n = _TRAP_N0 doubled on
-    nested nodes: each doubling calls f once, on the new midpoints only.  Returns the sum of
+def trapezoid(f, w: float, rtol: float, atol: float = 0.0, cond: float = 1.0,
+              n0: int = _TRAP_N0) -> tuple[complex, float]:
+    """Trapezoid sum of f over [-w, w] with 2n + 1 equispaced nodes, n = n0 doubled on
+    nested nodes: the first call of f holds the 2 n0 + 1 nodes of the first level, and each
+    doubling calls f once more, on the new midpoints only.  Returns the sum of
     the first level whose halving estimate |T_n - T_(n/2)| (T_(n/2) sums every other node,
     no new evaluation) and rounding estimate cond eps h sum |terms| both lie within the
     request max(rtol |T_n|, atol), with the larger of the two as its error estimate.  cond
@@ -81,14 +84,22 @@ def trapezoid(f, w: float, rtol: float, atol: float = 0.0, cond: float = 1.0) ->
     estimate still above the request at n = _TRAP_CAP and a term that is not finite.  f
     maps a numpy array of nodes to the array of its values, and must be negligible at
     +-w, since the sum does not see past them, or 2w-periodic: then the two end nodes are
-    one point whose half weights add up, and the sum is the periodic rule with 2n nodes."""
+    one point whose half weights add up, and the sum is the periodic rule with 2n nodes.
+
+    The halving estimate of T_n is the error of T_(n/2), where the rule converges
+    geometrically, so a sum certified at n = 64 has the error of T_32.  A caller whose sums
+    reach that level passes n0 = 64: one call of 129 nodes instead of 65 and then 64.  For
+    a complex-valued f, T_64, T_32 and both estimates are then the same doubles, since the
+    node (w/64) 2j is (w/32) j; a real-valued f is summed as reals at the first level and
+    as complex numbers past it, in another order.  Where n = 32 would have been certified,
+    such a sum returns the finer T_64."""
     def evaluate(theta):
         values = f(theta)
         if not np.isfinite(values).all():
             raise ToleranceError(f"trapezoid integrand not finite on [{-w}, {w}]")
         return values
 
-    n = _TRAP_N0
+    n = n0
     h = w / n
     values = evaluate(h * np.arange(-n, n + 1))
     coarse = 2.0 * h * (values[::2].sum() - 0.5 * (values[0] + values[-1]))

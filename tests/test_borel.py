@@ -3,6 +3,7 @@ jump against the lateral sums and the Borel transform."""
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -122,6 +123,17 @@ def test_singular_direction_error():
         su.laplace_sum(LaplaceQuery(0.5, SeriesKind.PSI, 0.1, 0.0))
     with pytest.raises(SingularDirectionError):
         su.laplace_sum(LaplaceQuery(0.5, SeriesKind.PHI, -0.1, math.pi))
+
+
+@pytest.mark.parametrize("tol, margin", [(1e-3, "3.16e-01"), (1e300, "1.00e+151")])
+def test_jump_refusal_names_the_margin_that_tol_asks_for(tol, margin):
+    # the rays at pi/12 pass sin(pi/12) = 0.259 from zeta = 1, so every jump tol above
+    # (sin(pi/12)/10)^2 = 6.7e-4 is refused: by the margin 10 sqrt(tol), not by the ray
+    expected = (r"ray at theta = 0\.26\d+ passes within 2\.59e-01 of the Borel singularity, "
+                rf"inside the margin 10 sqrt\(tol\) = {re.escape(margin)} "
+                rf"that tol = {re.escape(f'{tol:g}')} asks for$")
+    with pytest.raises(SingularDirectionError, match=expected):
+        su.stokes_jump_quadrature(0.5, SeriesKind.PSI, 0.15, tol)
 
 
 def test_two_sided_no_jump_at_nonpositive_integers():

@@ -82,10 +82,11 @@ def test_parse_error_exit_code(capsys):
     (("confluence", "--nu", "172", "--n-min", "0", "--n-max", "3"), 3),
     (("oracle", "--nu", "0.5", "--n", "1", "--which", "R", "--tol", "inf"), 3),
     (("oracle", "--nu", "0.5", "--which", "origin", "--n", "3"), 2),
+    (("oracle", "--nu", "0.5", "--n", "2", "--which", "R", "--tol", "1e300"), 3),
 ])
 def test_bad_input_is_refused(capsys, argv, exit_code):
-    # a tol that is not finite and positive, a non-finite nu, a nu whose Gamma overflows
-    # and an --n that the origin loop would drop are refused
+    # a tol that is not finite and positive or, for the oracle, not below 1, a non-finite nu,
+    # a nu whose Gamma overflows and an --n that the origin loop would drop are refused
     if exit_code == 2:
         with pytest.raises(SystemExit) as exc:
             main(list(argv))

@@ -2,6 +2,7 @@
 the double-exponential maps against closed forms, and the refusals of the integrals that
 run on them below their rounding floor."""
 
+import cmath
 import math
 
 import numpy as np
@@ -63,11 +64,28 @@ def test_exp_exp_integrates_exponential_decay(a):
 
 
 def test_stokes_jump_sums_one_loop_without_panels(monkeypatch):
-    # one trapezoid sum over the Hankel loop, and no lateral Laplace sum
+    # one trapezoid sum over the Hankel loop, in one integrand call of 129 nodes on real x,
+    # and no lateral Laplace sum
     calls = _counting(monkeypatch, borel)
     monkeypatch.setattr(borel, "laplace_sum", lambda query: pytest.fail("the jump took a lateral sum"))
-    su.stokes_jump_quadrature(0.5, su.SeriesKind.PSI, 0.15, tol=1e-10)
-    assert 1 <= len(calls) <= 2
+    for nu, x in ((0.5, 0.15), (1e-6, 0.3), (2.7, 0.05), (3.7, -0.1)):
+        kind = su.SeriesKind.PSI if x > 0 else su.SeriesKind.PHI
+        for tol in (1e-8, 1e-10, 1e-12):
+            calls.clear()
+            su.stokes_jump_quadrature(nu, kind, x, tol=tol)
+            assert calls == [129], (nu, x, tol, calls)
+
+
+def test_laplace_head_sums_129_nodes_in_one_call(monkeypatch):
+    # on a ray with s* > 0 the head [0, s*] is one call of 129 nodes: the next call is the
+    # tail's first level of 65, where a second head level would have held 128
+    calls = _counting(monkeypatch, borel)
+    for query in (su.LaplaceQuery(0.5, su.SeriesKind.PSI, 0.1, math.pi / 12),
+                  su.LaplaceQuery(0.5, su.SeriesKind.PSI, 0.2, 0.3, 1e-12),
+                  su.LaplaceQuery(2.5, su.SeriesKind.PHI, -0.15, math.pi - 0.4, 1e-12)):
+        calls.clear()
+        su.laplace_sum(query)
+        assert calls[:2] == [129, 2 * quad._TRAP_N0 + 1], (query, calls)
 
 
 def test_tolerance_below_the_rounding_floor_is_refused_promptly(monkeypatch):
@@ -114,6 +132,35 @@ def test_trapezoid_doubles_on_nested_nodes():
     assert [len(t) for t in nodes] == [2 * n0 + 1] + [2 * n0 * 2**j for j in range(len(nodes) - 1)]
     n = n0 * 2 ** (len(nodes) - 1)
     assert np.sort(np.concatenate(nodes)) == pytest.approx(np.linspace(-7.0, 7.0, 2 * n + 1), abs=1e-12)
+
+
+def _loop(nu, x):
+    """The Stokes jump's loop integrand at (nu, x), PSI, and the half-width of its sum."""
+    mu, w = borel._hankel_parabola(complex(nu), cmath.phase(x))
+    return borel._loop_integrand(complex(nu), mu * cmath.exp(-1j * cmath.phase(x))), w
+
+
+FIRST_LEVEL_CASES = {
+    "gaussian-a4": (lambda t: np.exp(-4.0 * t * t + (1.0 - 2.0j) * t), 9.0, 1e-12),
+    "gaussian-a16": (lambda t: np.exp(-(16.0 + 4.0j) * t * t + 3.0j * t), 9.0, 1e-12),
+    "loop-nu2.7": (*_loop(2.7, 0.05), 1e-10),
+    "loop-nu1e-6": (*_loop(1e-6, 0.3), 1e-12),
+    "loop-nu0.37-complex-x": (*_loop(0.37, 0.1 * cmath.exp(-1.1j)), 1e-10),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIRST_LEVEL_CASES))
+def test_first_level_of_64_returns_the_same_sum_in_one_call_fewer(case):
+    # where the default start needs two or more levels, n0 = 64 evaluates the same nodes
+    # (w/64) 2j = (w/32) j in one call fewer and returns the same (value, estimate) bits;
+    # the identity is that of complex-valued f, whose levels are all complex arrays
+    f, w, rtol = FIRST_LEVEL_CASES[case]
+    default, fine = [], []
+    expected = quad.trapezoid(lambda t: default.append(t.size) or f(t), w, rtol)
+    got = quad.trapezoid(lambda t: fine.append(t.size) or f(t), w, rtol, n0=64)
+    assert len(default) >= 2
+    assert fine == [129] + default[2:]
+    assert repr(got) == repr(expected)
 
 
 def test_trapezoid_refuses_below_the_rounding_floor_at_once():
