@@ -32,7 +32,8 @@ DELTA_DEFAULT = math.pi / 12
 _RESIDUAL_STEP = 1e-5
 _RAY_MARGIN = 10.0  # times sqrt(tol), minimum ray clearance from the Borel singularity
 _LOOP_DECAY = 40.0  # the Hankel loop is cut where its kernel has fallen to e^-40
-_END_SHARE = sys.float_info.epsilon  # of a piece's budget, the most each end of its window leaves out
+_EPS = sys.float_info.epsilon
+_END_SHARE = _EPS  # of a piece's budget, the most each end of its window leaves out
 
 
 def singular_direction(kind: SeriesKind) -> float:
@@ -56,24 +57,54 @@ class LaplaceQuery:
     tol: float = TOL_DEFAULT
 
     def decay_rate(self) -> float:
-        return (cmath.exp(1j * self.theta) / complex(self.x)).real
+        return _decay_rate(self.x, self.theta)
 
     def validate(self) -> None:
+        """The refusals of ``_require_ray``, then DecayConditionError for a ray whose decay
+        vanishes: c |x| < eps, c = Re(e^(i theta)/x).  Computed from parts of size 1/|x|,
+        c carries a rounding of about eps/|x|, so below that floor not even its sign is
+        known; and the sum's cond has the term 1/(c |x|), the size of the exponent zeta/x
+        at the ray's mean 1/c, which alone then bounds the relative error of each term by
+        more than 1."""
         x = complex(self.x)
-        if x == 0:
-            raise DecayConditionError("x must be nonzero")
-        _require_tol(self.tol)
-        if self.decay_rate() <= 0.0:
+        rate = _require_ray(self.kind, x, self.theta, self.tol)
+        if rate * abs(x) < _EPS:
             raise DecayConditionError(
-                f"Re(e^(i theta)/x) = {self.decay_rate():.3e} <= 0; no decay along the ray"
+                f"Re(e^(i theta)/x) |x| = {rate * abs(x):.3e} is below eps = {_EPS:.3e}; "
+                f"the decay along the ray vanishes within its rounding"
             )
-        _, clearance = _closest_approach(self.theta - singular_direction(self.kind))
-        margin = _RAY_MARGIN * math.sqrt(self.tol)
-        if clearance < margin:
-            raise SingularDirectionError(
-                f"ray at theta = {self.theta} passes within {clearance:.2e} of the Borel singularity, "
-                f"inside the margin 10 sqrt(tol) = {margin:.2e} that tol = {self.tol:g} asks for"
-            )
+
+
+def _decay_rate(x: complex, theta: float) -> float:
+    """Re(e^(i theta)/x), the rate c of the decay e^(-c s) of e^(-zeta/x) along the ray."""
+    return (cmath.exp(1j * theta) / complex(x)).real
+
+
+def _require_decay(x: complex, theta: float) -> float:
+    """The decay rate of the ray at theta, or DecayConditionError where it is not positive."""
+    rate = _decay_rate(x, theta)
+    if rate <= 0.0:
+        raise DecayConditionError(f"Re(e^(i theta)/x) = {rate:.3e} <= 0; no decay along the ray")
+    return rate
+
+
+def _require_ray(kind: SeriesKind, x: complex, theta: float, tol: float) -> float:
+    """The decay rate of the ray at theta, after these refusals in this order:
+    DecayConditionError for x = 0, ValueError for a tol that is not finite and positive,
+    DecayConditionError for a ray without decay, SingularDirectionError for a ray inside
+    the margin 10 sqrt(tol) of the Borel singularity."""
+    if x == 0:
+        raise DecayConditionError("x must be nonzero")
+    _require_tol(tol)
+    rate = _require_decay(x, theta)
+    _, clearance = _closest_approach(theta - singular_direction(kind))
+    margin = _RAY_MARGIN * math.sqrt(tol)
+    if clearance < margin:
+        raise SingularDirectionError(
+            f"ray at theta = {theta} passes within {clearance:.2e} of the Borel singularity, "
+            f"inside the margin 10 sqrt(tol) = {margin:.2e} that tol = {tol:g} asks for"
+        )
+    return rate
 
 
 def _closest_approach(rel: float) -> tuple[float, float]:
@@ -183,9 +214,10 @@ def stokes_jump_quadrature(nu, kind: SeriesKind, x, tol: float = TOL_DEFAULT) ->
     x^nu normalisation takes arg x on the lower edge (arg x in (-2 pi, 0)),
     the branch on which the PHI closed form holds.
 
-    The (x, tol) for which either ray's ``LaplaceQuery.validate`` raises are refused
-    with the same errors: among them every tol above (sin(pi/12)/10)^2 = 6.7e-4, whose
-    margin 10 sqrt(tol) the rays at +-pi/12 do not clear.  By Cauchy's theorem minus -
+    The (x, tol) refused are those of ``_require_ray`` on either ray, with the same
+    errors in the same order: x = 0, a tol that is not finite and positive, a ray without
+    decay, and every tol above (sin(pi/12)/10)^2 = 6.7e-4, whose margin 10 sqrt(tol) the
+    rays at +-pi/12 do not clear.  By Cauchy's theorem minus -
     plus is the Laplace integral of the Borel transform over a loop around its cut; with
     zeta = 1 + tau it is
     x^{-1} e^{-1/x} times the loop integral of (-tau)^{-nu} e^{-tau/x}.  On
@@ -193,7 +225,9 @@ def stokes_jump_quadrature(nu, kind: SeriesKind, x, tol: float = TOL_DEFAULT) ->
     c = -2 i k^{1-nu} times the integral over theta of p^{1-2 nu} e^{k p^2},
     k = mu e^{-i arg x}, from which the nu = 0 loop (integral 0) is
     subtracted; ``quad.trapezoid`` sums it from a first level of 129 nodes, and no Gamma
-    function enters.
+    function enters.  Where nu and k are real (arg x = 0 for PSI, arg(-x) = 0 for PHI) the
+    integrand is conjugate-even in theta, and the sum is the conjugate-even one on the 65
+    nodes theta >= 0.
     PHI at x is PSI at -x, since zeta -> -zeta maps one Borel transform and
     its rays onto the other, times e^{-i pi nu}: arg(-x) = arg x + pi on the
     lower edge.  At nu = 0, -1, -2, ... the Borel transform is a polynomial
@@ -204,24 +238,28 @@ def stokes_jump_quadrature(nu, kind: SeriesKind, x, tol: float = TOL_DEFAULT) ->
     ToleranceError is raised where they never get there: below the rounding
     floor (every tol under about 1e-16, and at times 1e-14 with nu near 4
     and |arg x| near 1.2), and next to a negative integer nu, where c tends
-    to 0 (within 1e-7 of -1 at tol 1e-10).  On real nu in [1e-15, 4],
-    |arg x| <= 1.2 (PSI) or |arg(-x)| <= 1.2 (PHI) and tol in [1e-14, 1e-8]
-    it is within 1e-13 relative of 30-digit values of the closed forms where
-    it does not refuse; tests/test_reference_mpmath.py holds it to 1e-9 there.  On
-    real x and tol >= 1e-13 it makes one integrand call of 129 nodes (a second, of 128,
-    near nu = 1 at tol of a few 1e-14).
+    to 0 (within 1e-7 of -1 at tol 1e-10).  With |x| in [0.05, 0.5] and tol in
+    [1e-13, 1e-8], on real nu in [-3, 20] at real x (PSI x > 0, PHI x < 0), and on
+    complex nu with Re nu in [-1, 4] and |Im nu| <= 2 at |arg x| <= 1.2 (PSI) or
+    |arg(-x)| <= 1.2 (PHI), it is within tol relative of 30-digit values of the closed
+    forms, or raises ToleranceError; tests/test_reference_mpmath.py holds it there.  On
+    real nu in [1e-15, 4], |arg x| <= 1.2 (PSI) or |arg(-x)| <= 1.2 (PHI) and tol in
+    [1e-14, 1e-8] it is within 1e-13 relative where it does not refuse, and the tests hold
+    it to 1e-9.  On real x and real nu at tol >= 1e-13 it makes one integrand call of 65
+    nodes (a second, of 64, at times at tol of a few 1e-14).
     """
     x = complex(x)
     nu = complex(nu)
     ts = singular_direction(kind)
-    for side in (DELTA_DEFAULT, -DELTA_DEFAULT):
-        LaplaceQuery(nu, kind, x, ts + side, tol).validate()
+    _require_ray(kind, x, ts + DELTA_DEFAULT, tol)
+    _require_decay(x, ts - DELTA_DEFAULT)  # x, tol and the clearance are the other ray's
     if nu.imag == 0.0 and nu.real <= 0.0 and nu.real.is_integer():
         return 0j
     a = cmath.phase(x if kind is SeriesKind.PSI else -x)
     mu, w = _hankel_parabola(nu, a)
     k = mu * cmath.exp(-1j * a)
-    loop, _ = trapezoid(_loop_integrand(nu, k), w, tol, n0=64)
+    # on real nu and real k the loop integrand is conjugate-even: f(-theta) = conj f(theta)
+    loop, _ = trapezoid(_loop_integrand(nu, k), w, tol, n0=64, conj_even=nu.imag == 0.0 and a == 0.0)
     c = -2j * cmath.exp((1.0 - nu) * cmath.log(k)) * loop
     return c if kind is SeriesKind.PSI else c * cmath.exp(-1j * math.pi * nu)
 

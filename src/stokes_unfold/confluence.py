@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ResonanceError
 from .gammas import log_gamma_ratio, reciprocal_gamma
-from .perturbed import log_resonant_d_range
+from .perturbed import d_r3_column, resonant_w_range
 
 
 @dataclass(frozen=True)
@@ -67,26 +67,36 @@ def thread_count() -> int:
 class ConfluenceTable(Sequence):
     """The convergence table as read-only numpy columns, one entry per resonance index.
 
-    ``n``, ``sqrt_eps`` and ``delta = |d_L2 - d_L2(inf)|`` are int and float columns,
-    ``d_L2`` and ``d_R3`` complex.  The error columns are the properties ``err_L2``,
+    ``n``, ``sqrt_eps``, ``w`` and ``delta = |d_L2 - d_L2(inf)|`` are the int and float
+    columns it holds: on real nu with nu + 2 n_min > 1, w is real, and d_L2 = phase w and
+    d_R3 = -w/2 are the complex properties ``d_L2`` and ``d_R3``, derived when read
+    (``perturbed.resonant_w_range``).  The error columns are the properties ``err_L2``,
     ``err_R3``, ``stokes_err_L`` and ``stokes_err_R``: delta, delta/2, 2 pi delta and
     pi delta.  As a sequence, item i is the ConfluenceRow of index n[i] with Python
-    int, float and complex fields, built when it is read.
+    int, float and complex fields, built when it is read from that row alone.
     """
 
     n: np.ndarray
     sqrt_eps: np.ndarray
-    d_L2: np.ndarray
-    d_R3: np.ndarray
+    w: np.ndarray
     delta: np.ndarray
+    phase: complex
 
     def __post_init__(self):
-        for name in ("n", "sqrt_eps", "d_L2", "d_R3", "delta"):
+        for name in ("n", "sqrt_eps", "w", "delta"):
             column = getattr(self, name).view()
             if column.shape != self.n.shape or column.ndim != 1:
                 raise ValueError(f"column {name} has shape {column.shape}, n has {self.n.shape}")
             column.flags.writeable = False
             object.__setattr__(self, name, column)
+
+    @property
+    def d_L2(self) -> np.ndarray:
+        return _read_only(self.phase * self.w)
+
+    @property
+    def d_R3(self) -> np.ndarray:
+        return _read_only(d_r3_column(self.phase, self.w))
 
     @property
     def err_L2(self) -> np.ndarray:
@@ -109,24 +119,29 @@ class ConfluenceTable(Sequence):
 
     def __getitem__(self, i: int) -> ConfluenceRow:
         i = operator.index(i)
-        return _row(self.n[i].item(), self.sqrt_eps[i].item(), self.d_L2[i].item(), self.d_R3[i].item(),
-                    self.delta[i].item())
+        return self._row(self.n[i].item(), self.sqrt_eps[i].item(), self.w[i].item(), self.delta[i].item())
 
     def __iter__(self):
-        return map(_row, self.n.tolist(), self.sqrt_eps.tolist(), self.d_L2.tolist(), self.d_R3.tolist(),
-                   self.delta.tolist())
+        return map(self._row, self.n.tolist(), self.sqrt_eps.tolist(), self.w.tolist(), self.delta.tolist())
+
+    def _row(self, n: int, sqrt_eps: float, w: float, delta: float) -> ConfluenceRow:
+        # the scalar forms of the d_L2 and d_R3 columns, bit for bit
+        d_r3 = complex(-0.5 * w if self.phase else w)
+        return ConfluenceRow(n, sqrt_eps, self.phase * w, d_r3, delta, 0.5 * delta, 2.0 * math.pi * delta,
+                             math.pi * delta)
 
 
-def _row(n: int, sqrt_eps: float, d_l2: complex, d_r3: complex, delta: float) -> ConfluenceRow:
-    return ConfluenceRow(n, sqrt_eps, d_l2, d_r3, delta, 0.5 * delta, 2.0 * math.pi * delta, math.pi * delta)
+def _read_only(column: np.ndarray) -> np.ndarray:
+    column.flags.writeable = False
+    return column
 
 
 def confluence_table(nu: float, n_min: int, n_max: int) -> ConfluenceTable:
     """ConfluenceTable of the indices n_min..n_max, in order; rows are emitted even
     when a downstream convergence check would fail (the table is the artifact).
 
-    Arrays of d_L2, d_R3 and delta = |d_L2 - d_L2(inf)| come from one vectorized
-    pass.  The error columns are delta, delta/2, 2 pi delta and pi delta:
+    The columns w and delta = |d_L2 - d_L2(inf)|, from which d_L2 and d_R3 are read, come
+    from one vectorized pass.  The error columns are delta, delta/2, 2 pi delta and pi delta:
     exp(2 pi i T_j) differs from the Stokes matrix only by 2 pi i (d_j - d_j(inf))
     in one entry, and |e^{i pi (1-nu)}| = 1.  ResonanceError unless nu is real, then ValueError
     unless it is finite, n_min <= n_max and 1/sqrt(eps) = nu + 2 n exceeds 1 at n_min."""
@@ -141,8 +156,8 @@ def confluence_table(nu: float, n_min: int, n_max: int) -> ConfluenceTable:
     if n_max < n_min:
         raise ValueError("empty resonance index range")
     n = np.arange(n_min, n_max + 1)
-    d_l2, d_r3, deltas = log_resonant_d_range(nu, n_min, n_max)
-    return ConfluenceTable(n, 1.0 / (nu + 2.0 * n), d_l2, d_r3, deltas)
+    phase, w, deltas = resonant_w_range(nu, n_min, n_max)
+    return ConfluenceTable(n, 1.0 / (nu + 2.0 * n), w, deltas, phase)
 
 
 def fitted_rate(table: ConfluenceTable, column: str = "stokes_err_R") -> float:

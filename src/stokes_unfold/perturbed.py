@@ -267,8 +267,25 @@ def log_resonant_d_values(nu, n: int) -> tuple[complex, complex]:
 
 def log_resonant_d_range(nu, n_min: int, n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Arrays of d_L2 = e^{i pi (1-nu)} w_n, d_R3 = -w_n/2 (complex) and delta = |w_n - 1/Gamma(nu)|
-    (float) for n_min <= n <= n_max, w_n = z^{1-nu} (nu)^{(n)} / n! = R/Gamma(nu) with R from
-    gammas.log_gamma_ratio on every row, and delta = |1/Gamma(nu)| |expm1(log R)|.  Against
+    (float) for n_min <= n <= n_max, from the columns of ``resonant_w_range``."""
+    phase, w, deltas = resonant_w_range(nu, n_min, n_max)
+    return phase * w, d_r3_column(phase, w), deltas
+
+
+def d_r3_column(phase: complex, w: np.ndarray) -> np.ndarray:
+    """d_R3 = -w/2 as a complex array: on the zero rows (phase 0, w +0) the +0 itself, which
+    -0.5 * 0.0 would turn into -0.0.  -0.5 w is formed before the cast, as complex arithmetic
+    would flip +0.0 imaginary parts; d_L2 = phase * w, not w * phase, as numpy's complex
+    product is not bitwise commutative."""
+    return np.asarray(-0.5 * w if phase else w, dtype=complex)
+
+
+def resonant_w_range(nu, n_min: int, n_max: int) -> tuple[complex, np.ndarray, np.ndarray]:
+    """(phase, w, delta) for n_min <= n <= n_max: d_L2 = phase w_n and d_R3 = -w_n/2, with phase
+    = e^{i pi (1-nu)} and w_n = z^{1-nu} (nu)^{(n)} / n! = R/Gamma(nu), R from
+    gammas.log_gamma_ratio on every row, and delta = |w_n - 1/Gamma(nu)| = |1/Gamma(nu)|
+    |expm1(log R)|.  w is a float column on real nu with nu + 2 n_min > 0, complex
+    elsewhere; on the exact zeros of integer nu <= 0 phase is 0 and w is +0.  Against
     50-digit values delta is within 1e-13 relative on the series rows (z >= 8, z > 2 |nu|)
     and 1e-10 on the rows below, for the |nu| <= 8 of the tests (1.0e-11 at nu = 1.99).
     Next to nu = 0 and 2, where R = 1 on every row, delta shrinks with the distance and
@@ -281,7 +298,7 @@ def log_resonant_d_range(nu, n_min: int, n_max: int) -> tuple[np.ndarray, np.nda
     rg = reciprocal_gamma(nu)
     if rg == 0:  # nu a non-positive integer, exactly
         if n_min >= 1 - round(nu.real):
-            return np.zeros(count, dtype=complex), np.zeros(count, dtype=complex), np.zeros(count)
+            return 0j, np.zeros(count), np.zeros(count)
         raise ResonanceError(
             "for integer nu <= 0 the closed forms need nu/2 + 1/(2 sqrt_eps) >= 1"
         )
@@ -306,10 +323,7 @@ def log_resonant_d_range(nu, n_min: int, n_max: int) -> tuple[np.ndarray, np.nda
             em1[rows] = sign * em1[rows] + (sign - 1.0)
         deltas = np.abs(em1, out=em1)
         deltas *= abs(rg.real)
-    phase = cmath.exp(1j * math.pi * (1.0 - nu))
-    # phase * w, not w * phase: numpy's complex product is not bitwise commutative; and
-    # -0.5 w is formed before the cast, as complex arithmetic would flip +0.0 imaginary parts
-    return phase * w, np.asarray(-0.5 * w, dtype=complex), deltas
+    return cmath.exp(1j * math.pi * (1.0 - nu)), w, deltas
 
 
 def residues(params: PerturbParams) -> ResidueData:
@@ -341,10 +355,11 @@ def residue_numeric_oracle(params: PerturbParams, which: str, tol: float = 1e-10
     Gated as ``residues`` is.  d is the prefactor times the mean over the circle u =
     (sqrt(eps)/2) e^{i phi} around the side's singular point of (2 sqrt(eps) +- u)^p u^{-n},
     summed by ``quad.trapezoid`` over phi in [-pi, pi]: the periodic rule, 64 nodes on its
-    first level.  The pole factor has the integer exponent n and winds harmlessly; the other
-    factor keeps a positive real part on the circle, so it is a principal power: (x +
-    sqrt(eps))^p for R3, and e^{-i pi p} (sqrt(eps) - x)^p for L2, i.e. arg(x - sqrt(eps)) =
-    -pi on the negative real axis, as the closed forms need.
+    first level.  On real nu the integrand is conjugate-even in phi, and the sum evaluates
+    the 33 of them with phi >= 0.  The pole factor has the integer exponent n and winds
+    harmlessly; the other factor keeps a positive real part on the circle, so it is a
+    principal power: (x + sqrt(eps))^p for R3, and e^{-i pi p} (sqrt(eps) - x)^p for L2,
+    i.e. arg(x - sqrt(eps)) = -pi on the negative real axis, as the closed forms need.
 
     The value is returned only where the rule certifies an error within tol max(|d|, 1):
     relative to d, with an absolute floor of tol where |d| < 1, so that an exact zero (nu =
@@ -354,7 +369,7 @@ def residue_numeric_oracle(params: PerturbParams, which: str, tol: float = 1e-10
     n = 9 to 15, depending on nu; every n <= 11 is returned from tol 1e-5.
     Against 30-digit closed forms for nu in {1/2, 2, 3.3, 0.37, -0.5}, n in {1..20, 50, 100}
     and both sides, every n <= 5 is returned at tol 1e-10, and each value returned takes one
-    call of 65 nodes, is within 1.5e-12, and is off by at most a quarter of the rule's own
+    call of 33 nodes, is within 1.5e-12, and is off by at most a quarter of the rule's own
     estimate.  From n = 64 on, the first level's 64 nodes would see u^-n as u^-(n - 64), with
     the nested 32 nodes agreeing on that alias, so such n are refused before the sum.
     """
@@ -377,9 +392,10 @@ def residue_numeric_oracle(params: PerturbParams, which: str, tol: float = 1e-10
         return scale * (1.0 + sign * 0.25 * w) ** p * w ** -n
 
     # each term is within (3 (n + |p|) + 4) eps of its value at the exact node: n + |p|/3
-    # from the node's rounding, n + 2 log2(n) from w^-n, 1.3 |p| from the power, 4 for the rest
+    # from the node's rounding, n + 2 log2(n) from w^-n, 1.3 |p| from the power, 4 for the
+    # rest.  On real nu, scale, p and the sign are real and the integrand is conjugate-even
     total, _ = trapezoid(integrand, math.pi, tol, atol=tol * 2.0 * math.pi / abs(prefactor),
-                         cond=3.0 * (n + abs(p)) + 4.0)
+                         cond=3.0 * (n + abs(p)) + 4.0, conj_even=params.nu.imag == 0.0)
     return prefactor * total / (2.0 * math.pi)
 
 

@@ -5,8 +5,10 @@ interval or a half-line onto the real line for it.
 negligible past its ends or periodic, where the rule converges geometrically in the node
 count (Trefethen & Weideman, SIAM Rev. 56, 2014); it reports its own error estimate and
 refuses what it cannot certify.  Its first level has 65 nodes; the Stokes jump and the
-head of a Laplace sum, whose sums reach 129, start there instead.  After ``tanh_sinh``
-(onto (0, 1)) or ``exp_exp`` (onto (0, inf), for integrands that decay exponentially) an
+head of a Laplace sum, whose sums reach 129, start there instead.  A conjugate-even
+integrand, f(-t) = conj f(t), is summed from its half t >= 0: the Stokes jump on real x
+and real nu evaluates 65 nodes, and the residue oracle's circle on real nu 33.  After
+``tanh_sinh`` (onto (0, 1)) or ``exp_exp`` (onto (0, inf), for integrands that decay exponentially) an
 integrand analytic on the open interval, with at worst algebraic behaviour at a finite
 end, decays double-exponentially in the new variable, so the same rule converges
 geometrically without breaks graded toward an endpoint (Takahasi & Mori, Publ. RIMS 9,
@@ -68,7 +70,7 @@ def exp_exp_window(lam_lo: float, r_hi: float) -> tuple[float, float]:
 
 
 def trapezoid(f, w: float, rtol: float, atol: float = 0.0, cond: float = 1.0,
-              n0: int = _TRAP_N0) -> tuple[complex, float]:
+              n0: int = _TRAP_N0, conj_even: bool = False) -> tuple[complex, float]:
     """Trapezoid sum of f over [-w, w] with 2n + 1 equispaced nodes, n = n0 doubled on
     nested nodes: the first call of f holds the 2 n0 + 1 nodes of the first level, and each
     doubling calls f once more, on the new midpoints only.  Returns the sum of
@@ -92,21 +94,42 @@ def trapezoid(f, w: float, rtol: float, atol: float = 0.0, cond: float = 1.0,
     a complex-valued f, T_64, T_32 and both estimates are then the same doubles, since the
     node (w/64) 2j is (w/32) j; a real-valued f is summed as reals at the first level and
     as complex numbers past it, in another order.  Where n = 32 would have been certified,
-    such a sum returns the finer T_64."""
-    def evaluate(theta):
-        values = f(theta)
-        if not np.isfinite(values).all():
-            raise ToleranceError(f"trapezoid integrand not finite on [{-w}, {w}]")
-        return values
+    such a sum returns the finer T_64.
+
+    A caller whose f is conjugate-even, f(-t) = conj f(t), passes conj_even: f is then
+    called on the nodes t >= 0 only, n0 + 1 of them and the n new midpoints on each
+    doubling, and T_n = h (Re f_0 + 2 sum_(0<j<n) Re f_j + Re f_n) is the full sum with
+    its imaginary part, which is 0, left out.  T_(n/2) sums every other node of the half
+    grid, and the rounding estimate sums |f_0| + 2 sum_(0<j<=n) |f_j|, which is sum |terms|
+    over the full grid; the requests and refusals are those of the full sum."""
+    if conj_even:
+        def fold(v):  # the full sum of the nodes v from its half on t >= 0
+            re = v.real
+            return 2.0 * float(re.sum()) - float(re[0]) - float(re[-1])
+
+        def mass(v):
+            mod = np.abs(v)
+            return 2.0 * float(mod.sum()) - float(mod[0])
+    else:
+        def fold(v):
+            return v.sum() - 0.5 * (v[0] + v[-1])
+
+        def mass(v):
+            return float(np.abs(v).sum())
 
     n = n0
     h = w / n
-    values = evaluate(h * np.arange(-n, n + 1))
-    coarse = 2.0 * h * (values[::2].sum() - 0.5 * (values[0] + values[-1]))
+    values = f(h * (np.arange(n + 1) if conj_even else np.arange(-n, n + 1)))
+    coarse = None
     while True:
-        total = h * (values.sum() - 0.5 * (values[0] + values[-1]))
+        size = mass(values)  # not finite where a term is not, or where finite terms overflow
+        if not math.isfinite(size) and not np.isfinite(values).all():
+            raise ToleranceError(f"trapezoid integrand not finite on [{-w}, {w}]")
+        if coarse is None:
+            coarse = 2.0 * h * fold(values[::2])
+        total = h * fold(values)
         halving = abs(total - coarse)
-        rounding = cond * _EPS * h * float(np.abs(values).sum())
+        rounding = cond * _EPS * h * size
         request = max(rtol * abs(total), atol)
         if max(halving, rounding) <= request:
             return complex(total), max(halving, rounding)
@@ -118,7 +141,7 @@ def trapezoid(f, w: float, rtol: float, atol: float = 0.0, cond: float = 1.0,
             raise ToleranceError(f"trapezoid halving estimate {halving:.3e} exceeds the "
                                  f"request {request:.3e} at n = {n}")
         h *= 0.5
-        finer = np.empty(4 * n + 1, dtype=complex)
+        finer = np.empty(2 * len(values) - 1, dtype=complex)
         finer[::2] = values
-        finer[1::2] = evaluate(h * np.arange(1 - 2 * n, 2 * n, 2))
+        finer[1::2] = f(h * np.arange(1 if conj_even else 1 - 2 * n, 2 * n, 2))
         values, n, coarse = finer, 2 * n, total

@@ -136,6 +136,77 @@ def test_jump_refusal_names_the_margin_that_tol_asks_for(tol, margin):
         su.stokes_jump_quadrature(0.5, SeriesKind.PSI, 0.15, tol)
 
 
+def _refusal(call):
+    """(type, message) of what call raises, or None."""
+    try:
+        call()
+    except (ValueError, DecayConditionError, SingularDirectionError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+_JUMP_REFUSAL_X = (0.0, 0.15, -0.15, 0.15j, -0.15j, 0.2 * cmath.exp(1.3j), 0.2 * cmath.exp(-1.3j),
+                   0.2 * cmath.exp(1.2j), 0.2 * cmath.exp(2.9j), 0.2 * cmath.exp(-1.9j))
+_JUMP_REFUSAL_TOL = (1e-10, (math.sin(math.pi / 12) / 10.0) ** 2, 6.8e-4, 1e-3, 1.0, 0.0, -1.0, math.nan, math.inf)
+
+
+@pytest.mark.parametrize("kind", list(SeriesKind), ids=lambda k: k.name)
+def test_jump_refuses_what_the_two_rays_refuse(kind):
+    # the jump's one test of its rays at theta_sing +- pi/12 raises what their two
+    # LaplaceQuery.validate calls raise, in their order, with the same messages; the decay
+    # floor of a Laplace sum is not the jump's, and no x here comes near it
+    ts = borel.singular_direction(kind)
+    refused = 0
+    for x in _JUMP_REFUSAL_X:
+        for tol in _JUMP_REFUSAL_TOL:
+            def rays():
+                for side in (su.DELTA_DEFAULT, -su.DELTA_DEFAULT):
+                    LaplaceQuery(0.5, kind, x, ts + side, tol).validate()
+            expected = _refusal(rays)
+            try:
+                got = _refusal(lambda: su.stokes_jump_quadrature(0.5, kind, x, tol))
+            except ToleranceError:  # admitted: past the rays' checks
+                got = None
+            assert got == expected, (x, tol)
+            refused += expected is not None
+    assert refused >= 60
+
+
+def test_a_ray_whose_decay_vanishes_is_refused_as_such():
+    # at theta = pi/2 the ray from x = 0.2 decays at c |x| = cos(pi/2) = 6.1e-17, below the
+    # rounding of c itself; the sum used to blame its rounding estimate
+    query = LaplaceQuery(2.71, SeriesKind.PSI, 0.2, math.pi / 2)
+    with pytest.raises(DecayConditionError, match=r"^Re\(e\^\(i theta\)/x\) \|x\| = 6\.123e-17 is below "
+                       r"eps = 2\.220e-16; the decay along the ray vanishes within its rounding$"):
+        su.laplace_sum(query)
+
+
+def test_the_decay_floor_only_relabels_refused_queries(monkeypatch):
+    # seeded rays with c |x| below eps, nu in [-3, 20] (a third complex), |x| in [0.05, 5]:
+    # without the floor every one is refused by the sum itself, with it as DecayConditionError
+    rng = np.random.default_rng(27)
+    queries = []
+    while len(queries) < 40:
+        nu = rng.uniform(-3.0, 20.0)
+        if len(queries) % 3 == 0:
+            nu = complex(rng.uniform(-1.0, 4.0), rng.uniform(-2.0, 2.0))
+        kind = (SeriesKind.PSI, SeriesKind.PHI)[len(queries) % 2]
+        x = rng.uniform(0.05, 5.0) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+        side = (-1.0, 1.0)[rng.integers(2)]
+        theta = cmath.phase(x) + side * math.acos(np.finfo(float).eps * 10.0 ** -rng.uniform(0.0, 3.0))
+        query = LaplaceQuery(nu, kind, x, theta, 10.0 ** -rng.uniform(6.0, 13.0))
+        if 0.0 < query.decay_rate() * abs(x) < np.finfo(float).eps and _refusal(
+                lambda: borel._require_ray(kind, x, theta, query.tol)) is None:
+            queries.append(query)
+    for query in queries:
+        with pytest.raises(DecayConditionError, match="vanishes within its rounding"):
+            su.laplace_sum(query)
+    monkeypatch.setattr(borel, "_EPS", 0.0)
+    for query in queries:
+        with pytest.raises(ToleranceError):
+            su.laplace_sum(query)
+
+
 def test_two_sided_no_jump_at_nonpositive_integers():
     for nu in (0, -1, -2, -3):
         plus, minus = _lateral_sums(nu, SeriesKind.PSI, 0.15)

@@ -244,15 +244,14 @@ def test_confluence_json_streams_the_row_dict_bytes(capsys, monkeypatch, nu, n_m
 
 def test_confluence_json_non_finite_and_signed_zero(capsys, monkeypatch):
     # NaN, +-inf and -0.0 in several columns and blocks, outside the last decade that the
-    # fitted rates read
+    # fitted rates read; d_L2 and d_R3 take theirs from the column w they are derived from
     monkeypatch.setattr("stokes_unfold.cli._CSV_BLOCK_ROWS", 7)
     table = stokes_unfold.confluence_table(0.5, 1, 40)
-    sqrt_eps, d_l2, d_r3, delta = (np.array(c) for c in (table.sqrt_eps, table.d_L2, table.d_R3, table.delta))
+    sqrt_eps, w, delta = (np.array(c) for c in (table.sqrt_eps, table.w, table.delta))
     delta[:3] = math.inf, math.nan, -0.0
     sqrt_eps[5] = -math.inf
-    d_l2[9] = complex(math.nan, -0.0)
-    d_r3[15] = complex(-0.0, math.inf)
-    table = dataclasses.replace(table, sqrt_eps=sqrt_eps, d_L2=d_l2, d_R3=d_r3, delta=delta)
+    w[9], w[15], w[20] = math.nan, -math.inf, -0.0
+    table = dataclasses.replace(table, sqrt_eps=sqrt_eps, w=w, delta=delta)
     monkeypatch.setattr("stokes_unfold.cli.confluence_table", lambda *args: table)
     code, out = run_cli(capsys, "confluence", "--nu", "0.5", "--n-min", "1", "--n-max", "40")
     assert (code, out) == _row_dict_output(0.5, 1, 40, table)

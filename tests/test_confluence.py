@@ -87,7 +87,7 @@ def test_table_columns_and_row_view():
     table = su.confluence_table(0.5, 1, 20)  # recurrence rows for n < 8, midpoint series above
     count = 20
     assert isinstance(table, su.ConfluenceTable) and len(table) == count
-    for name, kind in [("n", "i"), ("sqrt_eps", "f"), ("d_L2", "c"), ("d_R3", "c"), ("delta", "f")]:
+    for name, kind in [("n", "i"), ("sqrt_eps", "f"), ("w", "f"), ("d_L2", "c"), ("d_R3", "c"), ("delta", "f")]:
         column = getattr(table, name)
         assert (column.dtype.kind, column.dtype.itemsize, column.shape) == (kind, 16 if kind == "c" else 8, (count,))
         with pytest.raises(ValueError):
@@ -95,7 +95,7 @@ def test_table_columns_and_row_view():
     with pytest.raises(AttributeError):
         table.delta = np.zeros(count)
     with pytest.raises(ValueError):
-        su.ConfluenceTable(table.n, table.sqrt_eps[:-1], table.d_L2, table.d_R3, table.delta)
+        su.ConfluenceTable(table.n, table.sqrt_eps[:-1], table.w, table.delta, table.phase)
     rows = list(table)
     assert rows == [table[i] for i in range(count)]
     assert table[-1] == rows[-1] and table[-1].n == 20 and table[-count].n == 1
@@ -128,6 +128,25 @@ def test_table_zero_columns_for_nonpositive_integer_nu():
         for x in (r.d_L2.real, r.d_L2.imag, r.d_R3.real, r.d_R3.imag,
                   r.err_L2, r.err_R3, r.stokes_err_L, r.stokes_err_R):
             assert math.copysign(1.0, x) == 1.0
+
+
+@pytest.mark.parametrize("nu, n_min", [(0.5, 1), (1.0, 1), (2.0, 1), (3.3, 1), (-2.5, 2), (7.9, 1), (-1.0, 2),
+                                        (-4.0, 5)])
+def test_table_d_columns_and_rows_keep_the_bytes_of_the_d_range(nu, n_min):
+    # the table holds the real column w and derives d_L2 and d_R3 when read; columns and rows
+    # are the bytes of log_resonant_d_range, signed zeros included (+0 on the zero tables of
+    # integer nu <= 0)
+    for n_max in (n_min, n_min + 40, n_min + 9000):
+        table = su.confluence_table(nu, n_min, n_max)
+        d_l2, d_r3, delta = log_resonant_d_range(nu, n_min, n_max)
+        assert table.w.dtype == float and table.delta.tobytes() == delta.tobytes()
+        assert table.d_L2.tobytes() == d_l2.tobytes() and table.d_R3.tobytes() == d_r3.tobytes()
+        for i in {0, len(table) // 3, len(table) - 1}:
+            row = table[i]
+            assert np.array([row.d_L2, row.d_R3]).tobytes() == np.array([d_l2[i], d_r3[i]]).tobytes(), i
+        rows = list(table)
+        assert np.array([r.d_L2 for r in rows]).tobytes() == d_l2.tobytes()
+        assert np.array([r.d_R3 for r in rows]).tobytes() == d_r3.tobytes()
 
 
 def test_table_and_d_values_share_one_definition():

@@ -368,12 +368,13 @@ def test_residue_oracle_refuses_indices_its_nodes_alias(monkeypatch):
         for side in "LR":
             with pytest.raises(ToleranceError, match="alias"):
                 su.residue_numeric_oracle(PerturbParams.from_resonant_index(0.5, n), side, tol=1e-3)
-    # the guard's index is the node count on the period of the trapezoid rule's first level
+    # the guard's index is the node count on the period of the trapezoid rule's first level,
+    # whose conjugate-even sum on real nu evaluates the half phi >= 0 of them, ends included
     first = []
     monkeypatch.setattr(perturbed, "trapezoid", lambda f, w, rtol, **kwargs: quad.trapezoid(
         lambda phi: first.append(phi.size) or f(phi), w, rtol, **kwargs))
     su.residue_numeric_oracle(PerturbParams.from_resonant_index(0.5, 2), "R")
-    assert first == [perturbed._ORACLE_ALIAS_INDEX + 1]
+    assert first == [perturbed._ORACLE_ALIAS_INDEX // 2 + 1]
 
 
 def test_integer_exponent_integrand_has_no_residue_at_other_point():

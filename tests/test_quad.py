@@ -4,6 +4,7 @@ run on them below their rounding floor."""
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -64,16 +65,18 @@ def test_exp_exp_integrates_exponential_decay(a):
 
 
 def test_stokes_jump_sums_one_loop_without_panels(monkeypatch):
-    # one trapezoid sum over the Hankel loop, in one integrand call of 129 nodes on real x,
-    # and no lateral Laplace sum
+    # one trapezoid sum over the Hankel loop and no lateral Laplace sum: on real x and real nu
+    # the loop integrand is conjugate-even, and the sum is one call of the 65 nodes theta >= 0;
+    # a complex x or a complex nu takes the full 129
     calls = _counting(monkeypatch, borel)
     monkeypatch.setattr(borel, "laplace_sum", lambda query: pytest.fail("the jump took a lateral sum"))
-    for nu, x in ((0.5, 0.15), (1e-6, 0.3), (2.7, 0.05), (3.7, -0.1)):
-        kind = su.SeriesKind.PSI if x > 0 else su.SeriesKind.PHI
+    for nu, x, nodes in ((0.5, 0.15, 65), (1e-6, 0.3, 65), (2.7, 0.05, 65), (3.7, -0.1, 65),
+                         (0.5, 0.15 * cmath.exp(0.4j), 129), (0.5 + 0.3j, 0.15, 129)):
+        kind = su.SeriesKind.PSI if x.real > 0 else su.SeriesKind.PHI
         for tol in (1e-8, 1e-10, 1e-12):
             calls.clear()
             su.stokes_jump_quadrature(nu, kind, x, tol=tol)
-            assert calls == [129], (nu, x, tol, calls)
+            assert calls == [nodes], (nu, x, tol, calls)
 
 
 def test_laplace_head_sums_129_nodes_in_one_call(monkeypatch):
@@ -161,6 +164,61 @@ def test_first_level_of_64_returns_the_same_sum_in_one_call_fewer(case):
     assert len(default) >= 2
     assert fine == [129] + default[2:]
     assert repr(got) == repr(expected)
+
+
+CONJ_EVEN_CASES = {
+    "gaussian": (lambda t: np.exp(-2.0 * t * t + 1.5j * t) * (1.0 + 0.3j * t), 9.0, 1e-13, 32),
+    "pole-0.2": (lambda t: np.exp(-t * t) / (t * t + 0.04), 7.0, 1e-12, 32),
+    "period": (lambda t: np.exp(np.cos(t) + 2j * np.sin(t)), math.pi, 1e-13, 32),
+    "loop-nu0.7": (*_loop(0.7, 0.2), 1e-12, 64),
+    "loop-nu17.5": (*_loop(17.5, 0.45), 1e-13, 64),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONJ_EVEN_CASES))
+def test_conjugate_even_sum_evaluates_the_half_t_nonnegative(case):
+    # f(-t) = conj f(t): the sum calls f on t >= 0 only, n0 + 1 nodes and then the n new
+    # midpoints of each doubling, and returns the full sum's level and value to roundoff
+    f, w, rtol, n0 = CONJ_EVEN_CASES[case]
+    t = np.linspace(0.0, w, 97)
+    assert np.abs(f(-t) - np.conj(f(t))).max() <= 1e-15 * np.abs(f(t)).max()
+    full, half = [], []
+    expected, expected_err = quad.trapezoid(lambda v: full.append(v) or f(v), w, rtol, n0=n0)
+    value, err = quad.trapezoid(lambda v: half.append(v) or f(v), w, rtol, n0=n0, conj_even=True)
+    assert [v.size for v in half] == [n0 + 1] + [v.size // 2 for v in full[1:]]
+    assert all((v >= 0.0).all() for v in half)
+    assert np.sort(np.concatenate(half)) == pytest.approx(np.linspace(0.0, w, n0 * 2 ** (len(half) - 1) + 1))
+    assert value.imag == 0.0 and err <= rtol * abs(value)
+    assert abs(value - expected) <= 2.0 * max(err, expected_err)
+
+
+CONJ_EVEN_REFUSALS = {
+    # (f, w, rtol, kwargs, whether the quoted estimates are the full sum's bits)
+    "not-finite": (lambda t: np.where(np.abs(t) > 1.0, np.inf, 1.0), 7.0, 1e-8, {}, True),
+    "rounding": (lambda t: np.exp(-t * t), 7.0, 1e-17, {}, True),
+    "node-cap": (lambda t: 1.0 / (t * t + 1e-8), 7.0, 1e-10, {}, True),
+    "atol": (lambda t: np.exp(3j * t), math.pi, 1e-10, {"atol": 1e-20}, True),
+    # a request or a level set by roundoff: the estimates are roundoff, and move with it
+    "zero-integral": (lambda t: np.exp(3j * t), math.pi, 1e-10, {}, False),
+    "rounding-floor": (lambda t: np.exp(np.cos(t)), math.pi, 1e-17, {"atol": 1e-30}, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONJ_EVEN_REFUSALS))
+def test_conjugate_even_sum_refuses_as_the_full_sum(case):
+    # the same ToleranceError and message; where the estimates it quotes are roundoff, they
+    # are roundoff of another summation order, and only the words are the same
+    f, w, rtol, kwargs, same_bits = CONJ_EVEN_REFUSALS[case]
+    messages = []
+    for conj_even in (False, True):
+        with pytest.raises(ToleranceError) as refusal:
+            quad.trapezoid(f, w, rtol, conj_even=conj_even, **kwargs)
+        messages.append(str(refusal.value))
+    if same_bits:
+        assert messages[0] == messages[1]
+    else:
+        number = r"\d\.\d{3}e[+-]\d+"
+        assert [re.sub(number, "#", m) for m in messages] == [re.sub(number, "#", messages[0])] * 2
 
 
 def test_trapezoid_refuses_below_the_rounding_floor_at_once():
