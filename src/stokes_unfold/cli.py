@@ -235,15 +235,19 @@ def cmd_confluence(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if args.which == "origin" and args.n is not None:
+        args.parser.error("argument --n: not used by the origin loop")
+    if args.which != "origin" and args.n is None:
+        args.parser.error("argument --n: required for the L and R loops")
+    if args.tol > INVARIANT_TOL:
+        # each step may then err by more than the bound that judges the loop
+        raise ValueError(f"--tol {args.tol!r} is above the invariant tolerance {INVARIANT_TOL!r} "
+                         "that the loop's verdict is held to")
     if args.which == "origin":
-        if args.n is not None:
-            args.parser.error("argument --n: not used by the origin loop")
         report = unperturbed_monodromy(args.nu, tol=args.tol)
         expected_log = None
         params_json = {"nu": complex_to_json(args.nu), "which": "origin"}
     else:
-        if args.n is None:
-            args.parser.error("argument --n: required for the L and R loops")
         params = PerturbParams.from_resonant_index(args.nu, args.n)
         report = numerical_monodromy(params, args.which, tol=args.tol)
         expected_log = expected_log_flag(params, args.which)
@@ -314,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", type=parse_nu, required=True)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--which", choices=("L", "R", "origin"), required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=1e-9, help=f"per-step tolerance, at most {INVARIANT_TOL:g}")
     p.set_defaults(func=cmd_oracle, parser=p)  # args.parser.error prints this usage line
 
     p = sub.add_parser("check", help="run the property-check suite")

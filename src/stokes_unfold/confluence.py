@@ -157,7 +157,9 @@ def confluence_table(nu: float, n_min: int, n_max: int) -> ConfluenceTable:
         raise ValueError("empty resonance index range")
     n = np.arange(n_min, n_max + 1)
     phase, w, deltas = resonant_w_range(nu, n_min, n_max)
-    return ConfluenceTable(n, 1.0 / (nu + 2.0 * n), w, deltas, phase)
+    sqrt_eps = n * 2.0  # 1/(nu + 2 n), in place
+    sqrt_eps += nu
+    return ConfluenceTable(n, np.divide(1.0, sqrt_eps, out=sqrt_eps), w, deltas, phase)
 
 
 def fitted_rate(table: ConfluenceTable, column: str = "stokes_err_R") -> float:

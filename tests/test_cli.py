@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import stokes_unfold
-from stokes_unfold.cli import CSV_HEADER, complex_to_json, main
+from stokes_unfold.cli import CSV_HEADER, INVARIANT_TOL, complex_to_json, main
 
 
 def run_cli(capsys, *argv):
@@ -83,10 +83,14 @@ def test_parse_error_exit_code(capsys):
     (("oracle", "--nu", "0.5", "--n", "1", "--which", "R", "--tol", "inf"), 3),
     (("oracle", "--nu", "0.5", "--which", "origin", "--n", "3"), 2),
     (("oracle", "--nu", "0.5", "--n", "2", "--which", "R", "--tol", "1e300"), 3),
+    (("oracle", "--nu", "0.5", "--n", "2", "--which", "R", "--tol", "1e-5"), 3),
+    (("oracle", "--nu", "0.5", "--n", "2", "--which", "R", "--tol", "1e-3"), 3),
+    (("oracle", "--nu", "0.5", "--which", "origin", "--tol", "2e-6"), 3),
 ])
 def test_bad_input_is_refused(capsys, argv, exit_code):
-    # a tol that is not finite and positive or, for the oracle, not below 1, a non-finite nu,
-    # a nu whose Gamma overflows and an --n that the origin loop would drop are refused
+    # a tol that is not finite and positive or, for the oracle, not below 1 or above the
+    # invariant tolerance, a non-finite nu, a nu whose Gamma overflows and an --n that the
+    # origin loop would drop are refused
     if exit_code == 2:
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
@@ -97,6 +101,15 @@ def test_bad_input_is_refused(capsys, argv, exit_code):
     code, rec = run_json(capsys, *argv)
     assert code == rec["error"]["exit_code"] == 3
     assert rec["error"]["type"] == "ValueError"
+
+
+def test_oracle_tol_is_refused_above_the_invariant_tolerance(capsys):
+    # a loop allowed more than INVARIANT_TOL per step cannot be judged by that bound: the
+    # refusal names both values, and tol = INVARIANT_TOL itself runs
+    code, rec = run_json(capsys, "oracle", "--nu", "0.5", "--n", "2", "--which", "R", "--tol", "1e-5")
+    assert code == 3 and "--tol 1e-05" in rec["error"]["message"] and repr(INVARIANT_TOL) in rec["error"]["message"]
+    code, rec = run_json(capsys, "oracle", "--nu", "0.5", "--n", "2", "--which", "R", "--tol", repr(INVARIANT_TOL))
+    assert code == 0 and rec["payload"]["max_invariant_error"] <= INVARIANT_TOL
 
 
 def test_perturbed_type_b(capsys):

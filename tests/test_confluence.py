@@ -1,6 +1,7 @@
 """Resonant sequences, limit targets, Gamma-ratio probe and the tables."""
 
 import cmath
+import fractions
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 import stokes_unfold as su
 from stokes_unfold import ResonanceClass
 from stokes_unfold.errors import ResonanceError
-from stokes_unfold.gammas import _midpoint_coefficients, log_gamma_ratio, reciprocal_gamma
+from stokes_unfold.gammas import _midpoint_coefficients, _midpoint_sum, log_gamma_ratio, reciprocal_gamma
 from stokes_unfold.perturbed import log_resonant_d_range
 
 
@@ -162,17 +163,23 @@ def test_table_matches_mpmath():
     # with z = n + nu/2 formed in mpmath; the error columns are delta, delta/2,
     # 2 pi delta, pi delta with delta = |w - 1/Gamma(nu)|, so they test the
     # series without cancellation, from z = 8 up and next to nu = 1 and 2; at
-    # n < 8 the error columns of the recurrence rows are held to 1e-10
+    # n < 8 the error columns of the recurrence rows are held to 1e-10.  The rows
+    # n = 245..250, 300, 4321 and 19990 sit next to and past Re z = 256, where the series
+    # keeps fewer terms; they are read both alone and from one table over 245..19990
     mp = pytest.importorskip("mpmath")
     bounds = {nu: 1e-13 for nu in (0.5, 3.3, 0.01, 3.99, 7.25, -2.5, 1.99, 1.0 + 1e-7)}
     bounds.update({nu: 1e-12 for nu in (20.0, -30.5, 50.3)})  # the accuracy of 1/Gamma
+    cut_rows = (245, 246, 247, 248, 249, 250, 300, 4321, 19990)
     with mp.workdps(50):
         for nu, bound in bounds.items():
             nu_mp = mp.mpf(nu)
-            for n in (0, 1, 2, 5, 7, 8, 20, 63, 64, 65, 100, 10**3, 10**4, 10**5, 10**6):
-                if nu + 2 * n <= 1:
-                    continue  # outside the resonant sequence (nu = -30.5 at n = 8)
-                (r,) = su.confluence_table(nu, n, n)
+            # n with nu + 2 n <= 1 are outside the resonant sequence (nu = -30.5 at n = 8)
+            alone = [n for n in (0, 1, 2, 5, 7, 8, 20, 63, 64, 65, 100, 10**3, 10**4, 10**5, 10**6) + cut_rows
+                     if nu + 2 * n > 1]
+            long_table = su.confluence_table(nu, cut_rows[0], cut_rows[-1])
+            rows = [(n, su.confluence_table(nu, n, n)[0]) for n in alone]
+            rows += [(n, long_table[n - cut_rows[0]]) for n in cut_rows]
+            for n, r in rows:
                 w = (n + nu_mp / 2) ** (1 - nu_mp) * mp.rf(nu_mp, n) / mp.factorial(n)
                 delta = abs(w - mp.rgamma(nu_mp))
                 refs = {
@@ -232,15 +239,34 @@ def test_diagonal_factor_constancy_and_product():
         assert su.max_abs(d_l @ d_r - su.formal_monodromy(nu)) <= 1e-10
 
 
-def _plain_series(nu, n0, count):
-    """The midpoint series of log_gamma_ratio by plain Horner steps, log_r * t + c."""
-    z = np.arange(count, dtype=float) + n0 + nu / 2.0
-    coeffs = _midpoint_coefficients(nu)
-    t = 1.0 / z**2
+_EPS = np.finfo(float).eps
+
+
+def _horner(coeffs, t):
     log_r = coeffs[-1]
     for c in coeffs[-2::-1]:
         log_r = log_r * t + c
     return log_r * t
+
+
+def _fewest_terms(coeffs, t):
+    """The fewest leading terms J whose dropped tail sum_{j>J} |c_j| t^j is at most eps/8 of |c_1| t."""
+    return min(j for j in range(1, len(coeffs) + 1)
+               if sum(abs(c) * t**i for i, c in enumerate(coeffs[j:], j + 1)) <= _EPS / 8.0 * abs(coeffs[0]) * t)
+
+
+def _plain_series(nu, n0, count):
+    """The midpoint series of log_gamma_ratio by plain Horner steps, log_r * t + c, row by row:
+    all 12 terms below Re z = 256, and the leading J terms from the first row at or past it
+    on, J the fewest whose dropped tail is at most eps/8 of the first term at that row."""
+    z = np.arange(count, dtype=float) + n0 + nu / 2.0
+    coeffs = _midpoint_coefficients(nu)
+    t = 1.0 / z**2
+    past = z.real >= 256.0
+    if not past.any():
+        return _horner(coeffs, t)
+    kept = _fewest_terms(coeffs, abs(t[past][0]))
+    return np.where(past, _horner(coeffs[:kept], t), _horner(coeffs, t))
 
 
 def _plain_d_range(nu, n_min, n_max):
@@ -271,6 +297,44 @@ def test_series_rows_match_plain_horner(nu):
     for count in (1, 40, 3000):
         ours, plain = log_gamma_ratio(nu, n0, count), _plain_series(nu, n0, count)
         assert ours.dtype == plain.dtype and ours.tobytes() == plain.tobytes(), count
+
+
+@pytest.mark.parametrize("kind", [float, complex])
+def test_midpoint_sum_rows_join_at_the_kept_term(kind):
+    # coefficients whose later terms move every sum, so that the bytes show which terms a row
+    # took: all of them before the cut, the leading kept from it on, signed zeros included
+    # (t has zero imaginary parts, so a -0.0 coefficient part reaches the result)
+    parts = (-0.0, 1.0, -0.0, 0.5, 3.0, -2.0)
+    coeffs = tuple(kind(v) if kind is float else complex(v, -w) for v, w in zip(parts, parts[::-1]))
+    t = np.linspace(0.9, 0.1, 7).astype(kind)
+    for cut in range(len(t) + 1):
+        for kept in range(1, len(coeffs) + 1):
+            ours = _midpoint_sum(coeffs, t, cut, kept)
+            plain = np.concatenate([_horner(coeffs, t[:cut]), _horner(coeffs[:kept], t[cut:])])
+            assert ours.dtype == plain.dtype and ours.tobytes() == plain.tobytes(), (cut, kept)
+
+
+@pytest.mark.parametrize("nu", _PLAIN_NU)
+def test_series_cut_drops_only_what_a_double_cannot_hold(nu):
+    # past Re z = 256 the rows keep J terms: the dropped tail, summed exactly, is within eps/8
+    # of |c_1| t at the cut row (so at every later row) and J - 1 terms would not be; each
+    # row there is within 2 ulp of the 12-term sum and each row below it is that sum's bytes
+    nu = nu.real if complex(nu).imag == 0.0 else complex(nu)
+    coeffs = _midpoint_coefficients(nu)
+    exact = [fractions.Fraction(abs(c)) for c in coeffs]
+    for n0, count in ((math.ceil(max(8.0, 2.0 * abs(nu) + 1.0) - nu.real / 2.0), 300), (200, 3000), (250, 20000)):
+        z = np.arange(count, dtype=float) + n0 + nu / 2.0
+        cut = int(np.searchsorted(z.real, 256.0))
+        t = fractions.Fraction(float(abs(1.0 / z[cut] ** 2)))
+        kept = _fewest_terms(coeffs, float(t))
+        tails = [sum(c * t**j for j, c in enumerate(exact[k:], k + 1)) for k in (kept, kept - 1)]
+        bound = fractions.Fraction(_EPS) / 8 * exact[0] * t
+        assert tails[0] <= bound and (kept == 1 or tails[1] > bound), (n0, kept)
+        ours, full = log_gamma_ratio(nu, n0, count), _horner(coeffs, 1.0 / z**2)
+        assert ours[:cut].tobytes() == full[:cut].tobytes(), (n0, count)
+        for part in (np.real, np.imag):
+            moved = np.abs(part(ours[cut:]) - part(full[cut:]))
+            assert np.all(moved <= 2.0 * np.spacing(np.abs(part(full[cut:])))), (n0, count, part)
 
 
 @pytest.mark.parametrize("nu", _PLAIN_NU)

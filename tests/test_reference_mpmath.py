@@ -360,7 +360,9 @@ def test_stokes_jump_within_tol_or_refused_on_its_stated_domain(monkeypatch):
     # |x| in [0.05, 0.5], tol 1e-8 ... 1e-13: real nu in [-3, 20] at real x, which sums the
     # half theta >= 0 of the loop, and complex nu (Re in [-1, 4], |Im| <= 2) at
     # |arg x| <= 1.2, which sums all of it; each jump is within tol relative of the 30-digit
-    # closed form or raises ToleranceError
+    # closed form or raises ToleranceError.  Real nu in [4, 20] and [-3, -1] at
+    # 0 < |arg x| <= 1.2, where answers at the rounding floor missed tol, is refused before
+    # the sum
     calls = []
     monkeypatch.setattr(borel, "trapezoid", lambda f, w, rtol, **kwargs: quad.trapezoid(
         lambda theta: calls.append(theta.size) or f(theta), w, rtol, **kwargs))
@@ -384,6 +386,15 @@ def test_stokes_jump_within_tol_or_refused_on_its_stated_domain(monkeypatch):
         assert error <= tol, (nu, kind, x, tol, error)
         assert calls[0] == first, (nu, x, calls)
     assert answered >= 350
+    for j in range(120):
+        kind = (su.SeriesKind.PSI, su.SeriesKind.PHI)[j % 2]
+        nu = rng.uniform(4.0, 20.0) if j % 3 else rng.uniform(-3.0, -1.0)
+        x = rng.uniform(0.05, 0.5) * cmath.exp(1j * rng.uniform(-1.2, 1.2))
+        x = x if kind is su.SeriesKind.PSI else -x
+        calls.clear()
+        with pytest.raises(ToleranceError, match=r"certified for Re nu in \[-1, 4\] only"):
+            su.stokes_jump_quadrature(nu, kind, x, tol=10.0 ** -rng.uniform(8.0, 13.0))
+        assert calls == [], (nu, x)
 
 
 def test_stokes_jump_refuses_what_it_cannot_certify():
