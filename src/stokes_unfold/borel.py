@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DecayConditionError, SingularDirectionError, ToleranceError
+from .errors import DecayConditionError, SingularDirectionError
 from .gammas import reciprocal_gamma
 from .quad import _require_tol, exp_exp, exp_exp_window, tanh_sinh, tanh_sinh_window, trapezoid
 from .series import SeriesKind, build_series, gevrey_constants
@@ -32,9 +32,6 @@ DELTA_DEFAULT = math.pi / 12
 _RESIDUAL_STEP = 1e-5
 _RAY_MARGIN = 10.0  # times sqrt(tol), minimum ray clearance from the Borel singularity
 _LOOP_DECAY = 40.0  # the Hankel loop is cut where its kernel has fallen to e^-40
-# Re nu the jump answers off the real axis: beyond it the terms carry more rounding than
-# the sum's estimate counts, and answers near the rounding floor missed tol by up to 2.5x
-_OFF_AXIS_NU = (-1.0, 4.0)
 _EPS = sys.float_info.epsilon
 _END_SHARE = _EPS  # of a piece's budget, the most each end of its window leaves out
 
@@ -239,17 +236,19 @@ def stokes_jump_quadrature(nu, kind: SeriesKind, x, tol: float = TOL_DEFAULT) ->
     ``tol`` bounds the error of c relative to |c|: the sum stops where its
     halving and rounding estimates are both below tol times its value, and
     ToleranceError is raised where they never get there: below the rounding
-    floor (every tol under about 1e-16, and at times 1e-14 with nu near 4
-    and |arg x| near 1.2), and next to a negative integer nu, where c tends
-    to 0 (within 1e-7 of -1 at tol 1e-10).  Off the real axis (arg x != 0 for PSI,
-    arg(-x) != 0 for PHI) it is also raised, before the sum, for Re nu outside [-1, 4]:
-    there the terms carry more rounding than the estimate counts, and of 2,640 answers at
-    real nu in [4, 20] and |arg x| <= 1.2, 12 missed tol, by up to 2.5 tol (5 of 1,462 at
-    nu in [-3, -1], by up to 1.5 tol).  With |x| in [0.05, 0.5] and tol in
-    [1e-13, 1e-8], on real nu in [-3, 20] at real x (PSI x > 0, PHI x < 0), and on
-    complex nu with Re nu in [-1, 4] and |Im nu| <= 2 at |arg x| <= 1.2 (PSI) or
-    |arg(-x)| <= 1.2 (PHI), it is within tol relative of 30-digit values of the closed
-    forms, or raises ToleranceError; tests/test_reference_mpmath.py holds it there.  On
+    floor, and next to a negative integer nu, where c tends to 0 (within 1e-7 of -1 at
+    tol 1e-10).  The rounding estimate counts cond = 1 + |2 nu log p| + |k p^2| ulps a
+    term, the sizes of the two exponents one kernel width past the terms' peak, since
+    each carries about an ulp of its own size; the loop sum cancels most of its terms
+    where |1/Gamma(nu)| is small, so the floor, relative to c, is about 1e-14 on real nu
+    in (0, 4] at real x; in 9 of 10 seeded draws it is below 1e-13 on real nu in [-3, 20]
+    at real x and on Re nu in [-1, 4] off it, below 5e-12 on real nu in [-3, -1] off it,
+    and below 6e-10 (at worst 5e-7) on real nu in [4, 20] off it.  With |x| in
+    [0.05, 0.5] and tol in [1e-13, 1e-8], on real nu in [-3, 20] at real x (PSI x > 0,
+    PHI x < 0), on real nu in [-3, 20] at |arg x| <= 1.2 (PSI) or |arg(-x)| <= 1.2 (PHI),
+    and on complex nu with Re nu in [-1, 4] and |Im nu| <= 2 at those arg x, it is
+    within tol relative of 30-digit values of the closed forms, or raises
+    ToleranceError; tests/test_reference_mpmath.py holds it there.  On
     real nu in [1e-15, 4], |arg x| <= 1.2 (PSI) or |arg(-x)| <= 1.2 (PHI) and tol in
     [1e-14, 1e-8] it is within 1e-13 relative where it does not refuse, and the tests hold
     it to 1e-9.  On real x and real nu at tol >= 1e-13 it makes one integrand call of 65
@@ -263,13 +262,16 @@ def stokes_jump_quadrature(nu, kind: SeriesKind, x, tol: float = TOL_DEFAULT) ->
     if nu.imag == 0.0 and nu.real <= 0.0 and nu.real.is_integer():
         return 0j
     a = cmath.phase(x if kind is SeriesKind.PSI else -x)
-    if a and not _OFF_AXIS_NU[0] <= nu.real <= _OFF_AXIS_NU[1]:
-        raise ToleranceError(f"the Hankel loop sum off the real axis (arg = {a:.6g}) is certified for "
-                             f"Re nu in [{_OFF_AXIS_NU[0]:g}, {_OFF_AXIS_NU[1]:g}] only, got nu = {nu}")
     mu, w = _hankel_parabola(nu, a)
     k = mu * cmath.exp(-1j * a)
+    # a term carries about one ulp of each part of its exponents, -2 nu log p and k p^2; the
+    # terms peak with the kernel at theta = tan a and fall as e^(-mu cos a (theta - tan a)^2),
+    # so the parts are sized one width 1/sqrt(mu cos a) past that peak
+    p = complex(1.0, abs(math.tan(a)) + 1.0 / math.sqrt(mu * math.cos(a)))
+    cond = 1.0 + abs(2.0 * nu * cmath.log(p)) + mu * abs(p) ** 2
     # on real nu and real k the loop integrand is conjugate-even: f(-theta) = conj f(theta)
-    loop, _ = trapezoid(_loop_integrand(nu, k), w, tol, n0=64, conj_even=nu.imag == 0.0 and a == 0.0)
+    loop, _ = trapezoid(_loop_integrand(nu, k), w, tol, cond=cond, n0=64,
+                        conj_even=nu.imag == 0.0 and a == 0.0)
     c = -2j * cmath.exp((1.0 - nu) * cmath.log(k)) * loop
     return c if kind is SeriesKind.PSI else c * cmath.exp(-1j * math.pi * nu)
 

@@ -140,28 +140,21 @@ def _midpoint_sum(coeffs: tuple, t: np.ndarray, cut: int, kept: int) -> np.ndarr
     """sum_j c_j t^j by the Horner steps s = (s + c_j) t, j = len(coeffs) .. 1: the rows
     before cut take every step, and the rows from cut on join at j = kept from s = -0.0,
     the additive identity (-0.0 + c is c, bit for bit), so that they sum the leading kept
-    terms.  Float rows step in place, without a new array per step."""
+    terms.  Float rows multiply in place; each complex product goes to a second buffer,
+    because numpy rounds a one-row complex product into one of its inputs differently (as a
+    reduction).  Neither makes a new array per step."""
     acc = coeffs[-1] * t
-    if t.dtype.kind == "f":
-        head = None
-        if kept < len(coeffs):
-            acc[cut:] = -0.0
-            head = acc[:cut], t[:cut]
-        for j in range(len(coeffs) - 1, 0, -1):
-            s, u = head if j > kept else (acc, t)
-            s += coeffs[j - 1]
-            s *= u
-        return acc
-    # each complex product goes to the other buffer, because numpy rounds a one-row complex
-    # product into one of its inputs differently (as a reduction)
-    spare = np.empty_like(acc)
-    if kept < len(coeffs):
-        acc[cut:] = spare[cut:] = complex(-0.0, -0.0)
+    spare = np.empty_like(acc) if acc.dtype.kind == "c" else acc
+    rows = slice(cut) if kept < len(coeffs) else slice(None)
+    s, u = acc[rows], t[rows]
+    out = s if spare is acc else spare[rows]  # one view: a ufunc checks two for overlap
     for j in range(len(coeffs) - 1, 0, -1):
-        rows = slice(cut) if j > kept else slice(None)
-        acc[rows] += coeffs[j - 1]
-        np.multiply(acc[rows], t[rows], out=spare[rows])
-        acc, spare = spare, acc
+        if j == kept:
+            acc[cut:] = complex(-0.0, -0.0) if acc.dtype.kind == "c" else -0.0
+            s, u, out = acc, t, spare
+        s += coeffs[j - 1]
+        np.multiply(s, u, out)
+        acc, spare, s, out = spare, acc, out, s
     return acc
 
 
@@ -175,13 +168,17 @@ def log_gamma_ratio(nu, n0: float, count: int) -> np.ndarray:
     B_{2j+1}(1/2 + x) odd in x = (nu - 1)/2, so R - 1 stays accurate near nu = 1;
     the terms fall at least 16-fold.  From the first row with Re z >= 256 on, the rows keep
     only the leading J terms of the c_j t^j, t = 1/z^2: J is the fewest whose dropped tail
-    sum_{j>J} |c_j| |t|^j is at most eps/8 of |c_1| |t| at that first row, and so on every
-    later row.  At z = 256, J = 4 for nu in {0.5, 1.37, 3.3, 1 + 1e-7}, 5 at nu = 7.9 and
-    6 at nu = 20; J = 1 at nu = 1, where every c_j is 0, and 11 at nu = 0 and 2, where the
-    c_j are rounding noise.  Rows below the cut sum all 12 terms and keep the bytes of the
-    full sum; rows past it are within 2 ulp of it: in confluence tables of 250 and 20,000
-    rows at 60 nu, 34 of the 3.6 M entries of sqrt_eps, w and delta moved, all in delta
-    and by at most 1.8 eps relative.
+    sum_{j>J} |c_j| |t|^j is at most eps/8 of |c_1| |t| at |t| = 1/256^2, the largest |t|
+    past the cut, and so on every row past it.  J depends on nu alone, so a row has the
+    same bytes whichever call sums it.  J = 4 for nu in {0.5, 1.37, 3.3, 1 + 1e-7}, 5 at
+    nu = 7.9 and 6 at nu = 20; J = 1 at nu = 1, where every c_j is 0, and 11 at nu = 0 and
+    2, where the c_j are rounding noise.  Rows below the cut sum all 12 terms and keep the
+    bytes of the full sum, and so does the first series row, from which the rows below it
+    step down: where it lies past the cut (|nu| >~ 128) it lies at Re z <= 2 |nu| + 1,
+    where the terms fall only about 16-fold, and J is 12.  Rows past the cut are within
+    2 ulp of the full sum: in confluence tables of 250 and 20,000 rows at 60 nu, 34 of the
+    3.6 M entries of sqrt_eps, w and delta moved, all in delta and by at most 1.8 eps
+    relative.
     Rows below come from the first series row by Gamma(y+1) = y Gamma(y): each step
     down subtracts log(1 + (nu-1)/k), k = n + 1, as log1p of (nu-1)/k where that is
     below 1/2 and as log((n + nu)/k) elsewhere, so neither nu -> 1 nor n + nu -> 0
@@ -194,13 +191,11 @@ def log_gamma_ratio(nu, n0: float, count: int) -> np.ndarray:
     first = max(0, math.ceil(_SERIES_MIN_Z - nu.real / 2.0 - n0),
                 math.floor(2.0 * abs(nu) - nu.real / 2.0 - n0) + 1)
     z = np.arange(first, max(count, first + 1), dtype=float) + n0 + nu / 2.0
-    z_first = z[0]
     cut = len(z) if z[-1].real < _SHORT_SERIES_Z else int(z.real.searchsorted(_SHORT_SERIES_Z))
-    # t = 1/z^2, in place of z on float rows (not on complex ones: see _midpoint_sum)
-    t = np.square(z, out=None if isinstance(nu, complex) else z)
+    t = np.square(z)
     np.divide(1.0, t, out=t)
     coeffs = _midpoint_coefficients(nu)
-    kept = len(coeffs) if cut == len(t) else _terms_kept(coeffs, float(abs(t[cut])))
+    kept = len(coeffs) if cut == len(t) else _terms_kept(coeffs, _SHORT_SERIES_Z ** -2)
     log_r = _midpoint_sum(coeffs, t, cut, kept)
     if first:
         k = np.arange(1, first + 1) + n0
@@ -210,6 +205,6 @@ def log_gamma_ratio(nu, n0: float, count: int) -> np.ndarray:
         ur, ui = u.real[near], u.imag[near]
         steps[near] = 0.5 * np.log1p(ur * (2.0 + ur) + ui * ui) + 1j * np.arctan2(ui, 1.0 + ur)
         z_head = k - 1.0 + nu / 2.0
-        head = log_r[0] + (1.0 - nu) * np.log(z_head / z_first + 0j) - np.cumsum(steps[::-1])[::-1]
+        head = log_r[0] + (1.0 - nu) * np.log(z_head / z[0] + 0j) - np.cumsum(steps[::-1])[::-1]
         log_r = np.concatenate([head, log_r])
     return log_r[:count]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import stokes_unfold as su
-from stokes_unfold import ResonanceClass
+from stokes_unfold import ResonanceClass, gammas
 from stokes_unfold.errors import ResonanceError
 from stokes_unfold.gammas import _midpoint_coefficients, _midpoint_sum, log_gamma_ratio, reciprocal_gamma
 from stokes_unfold.perturbed import log_resonant_d_range
@@ -257,15 +257,15 @@ def _fewest_terms(coeffs, t):
 
 def _plain_series(nu, n0, count):
     """The midpoint series of log_gamma_ratio by plain Horner steps, log_r * t + c, row by row:
-    all 12 terms below Re z = 256, and the leading J terms from the first row at or past it
-    on, J the fewest whose dropped tail is at most eps/8 of the first term at that row."""
+    all 12 terms below Re z = 256, and the leading J terms from there on, J the fewest whose
+    dropped tail is at most eps/8 of the first term at t = 1/256^2."""
     z = np.arange(count, dtype=float) + n0 + nu / 2.0
     coeffs = _midpoint_coefficients(nu)
     t = 1.0 / z**2
     past = z.real >= 256.0
     if not past.any():
         return _horner(coeffs, t)
-    kept = _fewest_terms(coeffs, abs(t[past][0]))
+    kept = _fewest_terms(coeffs, 256.0**-2)
     return np.where(past, _horner(coeffs[:kept], t), _horner(coeffs, t))
 
 
@@ -290,13 +290,26 @@ _REAL_NU = tuple(float(v) for v in np.random.default_rng(2718).uniform(-7.9, 8.0
 _PLAIN_NU = _REAL_NU + (-0.5, -3.7, 1.0, 2.0, 3.0, 1.0 + 1e-9, 2.0 - 1e-9, 0.7 + 0.3j, -1.5 + 2.0j, 2.0 - 0.5j)
 
 
-@pytest.mark.parametrize("nu", _PLAIN_NU)
+@pytest.mark.parametrize("nu", _PLAIN_NU + (-150.5, 150.37))
 def test_series_rows_match_plain_horner(nu):
     nu = nu.real if complex(nu).imag == 0.0 else complex(nu)
     n0 = math.ceil(max(8.0, 2.0 * abs(nu) + 1.0) - nu.real / 2.0)  # every row a series row
     for count in (1, 40, 3000):
         ours, plain = log_gamma_ratio(nu, n0, count), _plain_series(nu, n0, count)
         assert ours.dtype == plain.dtype and ours.tobytes() == plain.tobytes(), count
+    for k in range(0, 3000, 7):  # a row has the same bytes alone as in the table
+        assert log_gamma_ratio(nu, n0 + k, 1).tobytes() == ours[k:k + 1].tobytes(), k
+
+
+@pytest.mark.parametrize("nu", (-150.5, 150.37, -199.3 + 4.0j))
+def test_rows_below_a_series_past_the_cut_keep_their_bytes(nu, monkeypatch):
+    # from |nu| of about 128 on the first series row lies past Re z = 256, at Re z <= 2 |nu| + 1,
+    # where the terms fall only about 16-fold and J is 12; the rows below it (a table from
+    # n = 1 ends at Re z = 25 for nu = -150.5) are then the bytes of the sum that never cuts
+    ours = log_gamma_ratio(nu, 1, 100)
+    monkeypatch.setattr(gammas, "_SHORT_SERIES_Z", math.inf)
+    full = log_gamma_ratio(nu, 1, 100)
+    assert ours.tobytes() == full.tobytes()
 
 
 @pytest.mark.parametrize("kind", [float, complex])
@@ -317,7 +330,7 @@ def test_midpoint_sum_rows_join_at_the_kept_term(kind):
 @pytest.mark.parametrize("nu", _PLAIN_NU)
 def test_series_cut_drops_only_what_a_double_cannot_hold(nu):
     # past Re z = 256 the rows keep J terms: the dropped tail, summed exactly, is within eps/8
-    # of |c_1| t at the cut row (so at every later row) and J - 1 terms would not be; each
+    # of |c_1| t at t = 1/256^2 (so at every row past it) and J - 1 terms would not be; each
     # row there is within 2 ulp of the 12-term sum and each row below it is that sum's bytes
     nu = nu.real if complex(nu).imag == 0.0 else complex(nu)
     coeffs = _midpoint_coefficients(nu)
@@ -325,7 +338,7 @@ def test_series_cut_drops_only_what_a_double_cannot_hold(nu):
     for n0, count in ((math.ceil(max(8.0, 2.0 * abs(nu) + 1.0) - nu.real / 2.0), 300), (200, 3000), (250, 20000)):
         z = np.arange(count, dtype=float) + n0 + nu / 2.0
         cut = int(np.searchsorted(z.real, 256.0))
-        t = fractions.Fraction(float(abs(1.0 / z[cut] ** 2)))
+        t = fractions.Fraction(1, 256**2)
         kept = _fewest_terms(coeffs, float(t))
         tails = [sum(c * t**j for j, c in enumerate(exact[k:], k + 1)) for k in (kept, kept - 1)]
         bound = fractions.Fraction(_EPS) / 8 * exact[0] * t

@@ -360,9 +360,9 @@ def test_stokes_jump_within_tol_or_refused_on_its_stated_domain(monkeypatch):
     # |x| in [0.05, 0.5], tol 1e-8 ... 1e-13: real nu in [-3, 20] at real x, which sums the
     # half theta >= 0 of the loop, and complex nu (Re in [-1, 4], |Im| <= 2) at
     # |arg x| <= 1.2, which sums all of it; each jump is within tol relative of the 30-digit
-    # closed form or raises ToleranceError.  Real nu in [4, 20] and [-3, -1] at
-    # 0 < |arg x| <= 1.2, where answers at the rounding floor missed tol, is refused before
-    # the sum
+    # closed form or raises ToleranceError; so is real nu in [4, 20] and [-3, -1] at
+    # 0 < |arg x| <= 1.2, where the terms carry tens of ulps and the loop sum cancels most
+    # of them (answers with the one-ulp rounding estimate missed tol by up to 3 times)
     calls = []
     monkeypatch.setattr(borel, "trapezoid", lambda f, w, rtol, **kwargs: quad.trapezoid(
         lambda theta: calls.append(theta.size) or f(theta), w, rtol, **kwargs))
@@ -386,15 +386,22 @@ def test_stokes_jump_within_tol_or_refused_on_its_stated_domain(monkeypatch):
         assert error <= tol, (nu, kind, x, tol, error)
         assert calls[0] == first, (nu, x, calls)
     assert answered >= 350
+    answered = 0
     for j in range(120):
         kind = (su.SeriesKind.PSI, su.SeriesKind.PHI)[j % 2]
         nu = rng.uniform(4.0, 20.0) if j % 3 else rng.uniform(-3.0, -1.0)
         x = rng.uniform(0.05, 0.5) * cmath.exp(1j * rng.uniform(-1.2, 1.2))
         x = x if kind is su.SeriesKind.PSI else -x
+        tol = 10.0 ** -rng.uniform(8.0, 13.0)
         calls.clear()
-        with pytest.raises(ToleranceError, match=r"certified for Re nu in \[-1, 4\] only"):
-            su.stokes_jump_quadrature(nu, kind, x, tol=10.0 ** -rng.uniform(8.0, 13.0))
-        assert calls == [], (nu, x)
+        try:
+            error = _jump_error(nu, kind, x, tol)
+        except ToleranceError:
+            continue
+        answered += 1
+        assert error <= tol, (nu, kind, x, tol, error)
+        assert calls[0] == 129, (nu, x, calls)
+    assert answered >= 80
 
 
 def test_stokes_jump_refuses_what_it_cannot_certify():
@@ -402,6 +409,21 @@ def test_stokes_jump_refuses_what_it_cannot_certify():
     for nu, tol in ((0.5, 1e-17), (3.7, 1e-16), (-1.0 + 1e-8, 1e-10), (-2.0 - 1e-6, 1e-10)):
         with pytest.raises(ToleranceError):
             su.stokes_jump_quadrature(nu, su.SeriesKind.PSI, 0.15, tol=tol)
+
+
+@pytest.mark.parametrize("nu, kind, x, tol", [
+    (16.450575140351283, su.SeriesKind.PHI, complex(-0.0857427790222178, -0.15846699570088288), 3.856596606306035e-09),
+    (14.651736255015864, su.SeriesKind.PSI, complex(0.20460800521700503, -0.3531504440814839), 2.3377944206610974e-10),
+    (15.649509958285607, su.SeriesKind.PHI, complex(-0.2577161840135905, -0.2874853536334799), 7.077567313069442e-13),
+], ids=["nu16.45-PHI", "nu14.65-PSI", "nu15.65-PHI"])
+def test_stokes_jump_counts_the_rounding_of_its_terms(nu, kind, x, tol):
+    # off the real axis at large nu the loop sum cancels terms that each carry tens of ulps;
+    # with one ulp a term these were answered 3.0, 1.1 and 1.5 times tol off
+    try:
+        error = _jump_error(nu, kind, x, tol)
+    except ToleranceError:
+        return
+    assert error <= tol
 
 
 def _residue_closed(nu, n, side):
