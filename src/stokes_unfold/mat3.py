@@ -34,12 +34,8 @@ def max_abs(m) -> float:
 
 
 def det3(m) -> complex:
-    a = as_matrix3(m)
-    return complex(
-        a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
-        - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
-        + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0])
-    )
+    (a, b, c), (d, e, f), (g, h, i) = as_matrix3(m).tolist()
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 def invertible_det3(m) -> complex:

@@ -9,6 +9,7 @@ conjugation.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -35,6 +36,15 @@ _EIG_GROUP_TOL = 1e-8
 # Taylor steps |t| <= _STEP_RATIO r, and every step's series stops by _MAX_TERMS terms
 _STEP_RATIO = 0.3
 _MAX_TERMS = 64
+# The watched step's term passes when max|term_j| <= _RULE_SLACK * tol * max(1, max|Phi_j|),
+# with CPython's abs; numpy's complex abs differs from it by up to 2 ulp, so the relative slack
+# of 1e-12 keeps this from rejecting what the all-steps rule accepts.  Before Phi_j is read, a
+# term above _REACH_SLACK times that bound at the running reach fails it too: max|Phi_j| exceeds
+# the reach by no more than the rounding of 64 sums and absolute values, below 1e-13 relative
+_RULE_SLACK = 1.0 + 1e-12
+_REACH_SLACK = 1.0 + 1e-9
+_EYE3 = identity3()
+_EYE3.flags.writeable = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,7 +74,9 @@ class CompanionSystem:
     def _pair(cls, nu, eps: float, poles: tuple, scale: float) -> "CompanionSystem":
         lam, q_diag = exponent_diagonals(nu)
         q = np.array([-eps, 0.0, 1.0], dtype=complex)
-        p = q[:, None, None] * np.eye(3, k=1) + [np.diag(q_diag), np.diag(lam), np.zeros((3, 3))]
+        p = np.zeros((3, 3, 3), dtype=complex)
+        p.reshape(3, 9)[:, 1::4] = q[:, None]  # q N, N the ones of the superdiagonal
+        p.reshape(3, 9)[:2, ::4] = q_diag, lam
         return cls(q, p, poles, scale)
 
     def matrix(self, x) -> np.ndarray:
@@ -104,9 +116,14 @@ def integrate_path(system: CompanionSystem, path: ContourPath, y0, tol: float = 
     step, but it is evaluated on one watched step first: the all-steps test runs after
     each term that this step passes, its first failing step becomes the one watched, and
     one flag keeps whether every step passed after the previous term; a refusal at the
-    term cap names the watched step.  Beside Z_m the loop keeps W_m = m Z_m, so that each
-    term costs the same: W_{m+1} is one broadcast product of contiguous slices, the rows of
-    ``_recurrence_rows`` by the last D + 1 pairs (Z, W), and Z_{m+1} = W_{m+1}/(m+1).  Raises
+    term cap names the watched step.  The watched step's term is first held against a
+    running bound on |Phi_j|, its last exact read plus the largest entries of the terms
+    added since, and Phi_j is read only when the term could pass; a term above the bound
+    fails the exact rule too, so the loop stops where testing every step after every term
+    would.
+    Beside Z_m the loop keeps W_m = m Z_m, so that each term costs the same: W_{m+1} is
+    one broadcast product of contiguous slices, the rows of ``_recurrence_rows`` by the
+    last D + 1 pairs (Z, W), and Z_{m+1} = W_{m+1}/(m+1).  Raises
     SingularMatrixError when ``y0`` fails the determinant rule of ``invertible_det3``;
     PathError by the clearance rule of ``_steps`` (a path of zero length returns ``y0``);
     ToleranceError, naming the segment, when a series has not converged by 64 terms (past
@@ -125,43 +142,57 @@ def integrate_path(system: CompanionSystem, path: ContourPath, y0, tol: float = 
         return y
     rows = _recurrence_rows(system, c, t)
     n, k, width = len(c), _MAX_TERMS, rows.shape[-1]
-    # zw[j, 0, 6(k-m):6(k-m)+6] is Z_m over W_m about centre j, newest first and zero for
-    # m < 0, so that the last D + 1 pairs are the contiguous ``width`` rows from Z_m on;
+    # zw[j, 0, 6(k-m):6(k-m)+6] is Z_m over W_m about centre j, newest first, so that the last
+    # D + 1 pairs are the contiguous ``width`` rows from Z_m on; a row is written before it is
+    # read, but for Z_0 = I, W_0 = 0 and the zero pairs m < 0 in the last ``width`` rows.
     # numpy runs the stacked (n, 3, width) @ (n, width, 3) form as n separate small products
-    zw = np.zeros((n, 1, 6 * k + width, 3), dtype=complex)
-    zw[:, 0, 6 * k:6 * k + 3] = np.eye(3)
-    phi = np.tile(np.eye(3, dtype=complex), (n, 1, 1))  # Phi after the terms so far
-    # j is the watched step, and ``settled`` says that every step met the rule after the
-    # previous term; its start False lets a stop come at m = 1 (tol >= 0.5 can), never at m = 0
-    j, settled = 0, False
+    zw = np.empty((n, 1, 6 * k + width, 3), dtype=complex)
+    zw[:, 0, 6 * k:] = 0.0
+    zw[:, 0, 6 * k:6 * k + 3] = _EYE3
+    flat = zw.reshape(n, -1)  # the same rows, three entries each, for reading one step's term
+    phi = np.zeros((n, 3, 1, 3), dtype=complex)  # Phi after the terms so far, shaped as a term
+    phi.reshape(n, 9)[:, ::4] = 1.0
+    # j is the watched step, ``settled`` says that every step met the rule after the previous
+    # term; its start False lets a stop come at m = 1 (tol >= 0.5 can), never at m = 0.
+    # ``reach`` bounds max|Phi_j|: the last exact read plus the largest |entry| of each term since
+    j, settled, reach = 0, False, 1.0
+    rule, reject = _RULE_SLACK * tol, _REACH_SLACK * _RULE_SLACK * tol
     for m in range(k):
         at = 6 * (k - m)
-        term, w = zw[:, 0, at - 6:at - 3], zw[:, 0, at - 3:at]
-        np.matmul(rows, zw[..., at:at + width, :], out=w[:, :, None])
+        term, w = zw[:, 0, at - 6:at - 3, None], zw[:, 0, at - 3:at, None]
+        np.matmul(rows, zw[..., at:at + width, :], out=w)
         np.divide(w, m + 1, out=term)
         phi += term
-        if not _maybe_below(term[j], phi[j], tol):
+        size = max(map(abs, flat[j, 3 * at - 18:3 * at - 9].tolist()))
+        reach += size
+        if size > reject * max(reach, 1.0):  # fails the rule whatever Phi_j is
             settled = False
             continue
-        below = np.abs(term).max(axis=(1, 2)) <= tol * np.maximum(1.0, np.abs(phi).max(axis=(1, 2)))
+        reach = max(map(abs, phi[j].ravel().tolist()))
+        if not size <= rule * max(1.0, reach):
+            settled = False
+            continue
+        below = np.abs(term).max(axis=(1, 2, 3)) <= tol * np.maximum(1.0, np.abs(phi).max(axis=(1, 2, 3)))
         if settled and below.all():
             break
         settled = below.all()
-        j = j if settled else int(np.argmin(below))
+        if not settled:
+            j, reach = int(np.argmin(below)), math.inf
     else:
         raise ToleranceError(f"Taylor series about {c[j]:.6g} has not converged to tol = {tol:g} "
                              f"in {_MAX_TERMS} terms on {segments[j]}")
-    for step in phi:
+    for step in phi[:, :, 0]:
         y = step @ y
     return y
 
 
-def _maybe_below(term, phi, tol: float) -> bool:
-    """Whether one step's term may be below tol * max(1, |Phi|), with CPython's abs; numpy's
-    complex abs differs from it by up to 2 ulp, so a relative slack of 1e-12 keeps this
-    from rejecting what the all-steps rule accepts."""
-    bound = tol * max(1.0, max(map(abs, phi.ravel().tolist())))
-    return max(map(abs, term.ravel().tolist())) <= (1.0 + 1e-12) * bound
+@functools.cache
+def _shift_table(d: int) -> tuple:
+    """C(l, i) and the powers max(l - i, 0) for i, l = 0..d, the degree's part of the shift."""
+    i = np.arange(d + 1)
+    comb, power = np.array([[math.comb(l, k) for l in i] for k in i]), np.maximum(i - i[:, None], 0)
+    comb.flags.writeable = power.flags.writeable = False
+    return comb, power
 
 
 def _recurrence_rows(system, c, t) -> np.ndarray:
@@ -169,15 +200,18 @@ def _recurrence_rows(system, c, t) -> np.ndarray:
     from the pairs (Z_{m-b}, W_{m-b}), b = 0..D side by side, to q~_0 W_{m+1}, divided by
     q~_0.  Block b holds row i of P~_b and -q~_{b+1} at column i (q~_{D+1} = 0)."""
     n, d = len(c), len(system.q) - 1
-    i = np.arange(d + 1)
-    # shift[j, i, l] = C(l, i) c_j^(l-i) takes coefficients in x to those in x - c_j
-    shift = np.array([[math.comb(l, k) for l in i] for k in i]) * c[:, None, None] ** np.maximum(i - i[:, None], 0)
-    q = (shift @ system.q) * t[:, None] ** i
-    p = (shift @ system.p.reshape(d + 1, 9)) * (t[:, None] ** (i + 1))[:, :, None]
+    comb, power = _shift_table(d)
+    # shift[j, i, l] = C(l, i) c_j^(l-i) takes coefficients in x to those in x - c_j; all
+    # centres as one (n(D+1), D+1) matrix, so that each product below is a single call
+    shift = (comb * c[:, None, None] ** power).reshape(-1, d + 1)
+    t_powers = t[:, None] ** np.arange(d + 2)
+    q = (shift @ system.q).reshape(n, d + 1) * t_powers[:, :-1]
+    p = (shift @ system.p.reshape(d + 1, 9)).reshape(n, d + 1, 9) * t_powers[:, 1:, None]
     rows = np.zeros((n, 3, d + 1, 2, 3), dtype=complex)
     rows[:, :, :, 0] = p.reshape(n, d + 1, 3, 3).transpose(0, 2, 1, 3)
-    rows[:, :, :-1, 1] = -q[:, None, 1:, None] * np.eye(3)[:, None]
-    return (rows / q[:, 0, None, None, None, None]).reshape(n, 3, 1, 6 * (d + 1))
+    rows[:, :, :-1, 1] = -q[:, None, 1:, None] * _EYE3[:, None]
+    rows /= q[:, 0, None, None, None, None]
+    return rows.reshape(n, 3, 1, 6 * (d + 1))
 
 
 def _steps(path: ContourPath, singular, clearance: float) -> tuple:
@@ -188,11 +222,10 @@ def _steps(path: ContourPath, singular, clearance: float) -> tuple:
     after finitely many steps, as r_j shrinks at least 0.7-fold per step toward it."""
     centres, ends, radii, segments = [], [], [], []
     for segment in path:
-        length = segment.length
-        s = 0.0
+        length, s = segment.length, 0.0
         x = complex(segment.point(0.0))
         while length and s < 1.0:
-            r = min((abs(x - p) for p in singular), default=length)
+            r = min([abs(x - p) for p in singular], default=length)
             if r <= clearance and singular:
                 near = min(singular, key=lambda p: abs(x - p))
                 raise PathError(f"path passes within {r:.3e} of the singular point {near}")
@@ -201,7 +234,7 @@ def _steps(path: ContourPath, singular, clearance: float) -> tuple:
             x = complex(segment.point(s))
             ends.append(x)
             radii.append(r)
-            segments.append(segment)
+        segments += [segment] * (len(centres) - len(segments))
     c = np.array(centres)
     return c, np.array(ends) - c, np.array(radii), segments
 
@@ -209,10 +242,11 @@ def _steps(path: ContourPath, singular, clearance: float) -> tuple:
 def _match_eigenvalues(numeric, closed):
     """Optimal assignment (exhaustive for n = 3) of numeric to closed
     eigenvalues; returns (max matched distance, numeric tuple reordered)."""
+    dist = [[abs(v - w) for v in numeric] for w in closed]
     best_err = math.inf
     best_order = None
     for perm in itertools.permutations(range(3)):
-        err = max(abs(numeric[perm[i]] - closed[i]) for i in range(3))
+        err = max(dist[0][perm[0]], dist[1][perm[1]], dist[2][perm[2]])
         if err < best_err:
             best_err = err
             best_order = perm
@@ -243,14 +277,14 @@ def detect_log_structure(m, closed_eigenvalues) -> bool:
     m = as_matrix3(m)
     scale = max(1.0, max_abs(m))
     for value, mult in _repeated_groups(closed_eigenvalues):
-        sv = np.linalg.svd(m - value * np.eye(3), compute_uv=False)
+        sv = np.linalg.svd(m - value * _EYE3, compute_uv=False)
         if sv[3 - mult] > JORDAN_RTOL * scale:
             return True
     return False
 
 
 def _build_report(m, closed) -> MonodromyReport:
-    numeric = tuple(np.linalg.eigvals(m))
+    numeric = tuple(np.linalg.eigvals(m).tolist())
     err_eig, ordered = _match_eigenvalues(numeric, closed)
     det_closed = closed[0] * closed[1] * closed[2]
     err_det = abs(np.linalg.det(m) - det_closed) / max(1.0, abs(det_closed))

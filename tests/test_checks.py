@@ -14,7 +14,7 @@ import inspect
 import numpy as np
 import pytest
 
-from stokes_unfold import checks
+from stokes_unfold import checks, gammas
 
 
 @pytest.fixture(scope="module")
@@ -59,3 +59,13 @@ def test_batched_nu_draws_are_the_scalar_draws():
                 drawn = checks._random_nus(batched, count, scale, clear)
             assert drawn == [scalar_nu(scalar, scale, clear) for _ in range(count)]
             assert batched.random() == scalar.random()
+
+
+def test_a_lanczos_error_fails_the_recurrence_check(monkeypatch):
+    # gamma_reflection and reciprocal_product each cancel the one Lanczos evaluation that
+    # their two factors share, so an error in the Lanczos sum itself shows only where it is
+    # evaluated at two arguments, z and z + 1; a relative error of 1e-6 z moves that ratio by 1e-6
+    lanczos = gammas._lanczos
+    monkeypatch.setattr(gammas, "_lanczos", lambda z: lanczos(z) * (1.0 + 1e-6 * z))
+    passed, detail = checks.check_gamma_recurrence(np.random.default_rng(0))
+    assert not passed, detail
