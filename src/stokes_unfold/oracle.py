@@ -149,7 +149,6 @@ def integrate_path(system: CompanionSystem, path: ContourPath, y0, tol: float = 
     zw = np.empty((n, 1, 6 * k + width, 3), dtype=complex)
     zw[:, 0, 6 * k:] = 0.0
     zw[:, 0, 6 * k:6 * k + 3] = _EYE3
-    flat = zw.reshape(n, -1)  # the same rows, three entries each, for reading one step's term
     phi = np.zeros((n, 3, 1, 3), dtype=complex)  # Phi after the terms so far, shaped as a term
     phi.reshape(n, 9)[:, ::4] = 1.0
     # j is the watched step, ``settled`` says that every step met the rule after the previous
@@ -163,7 +162,7 @@ def integrate_path(system: CompanionSystem, path: ContourPath, y0, tol: float = 
         np.matmul(rows, zw[..., at:at + width, :], out=w)
         np.divide(w, m + 1, out=term)
         phi += term
-        size = max(map(abs, flat[j, 3 * at - 18:3 * at - 9].tolist()))
+        size = max(map(abs, term[j].ravel().tolist()))
         reach += size
         if size > reject * max(reach, 1.0):  # fails the rule whatever Phi_j is
             settled = False

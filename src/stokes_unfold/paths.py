@@ -6,7 +6,6 @@ floats, and returns a complex of the same shape.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -53,9 +52,7 @@ class Arc:
         return self.angle_start + s * (self.angle_end - self.angle_start)
 
     def point(self, s):
-        # a float s takes cmath.exp, whose values match numpy's bit for bit on imaginary arguments
-        exp = cmath.exp if isinstance(s, float) else np.exp
-        return self.center + self.radius * exp(1j * self._angle(s))
+        return self.center + self.radius * np.exp(1j * self._angle(s))
 
 
 class ContourPath:

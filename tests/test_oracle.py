@@ -451,16 +451,6 @@ def test_paths_geometry():
         values = segment.point(s)
         assert values.shape == s.shape
         assert all(values[j] == segment.point(t) for j, t in enumerate(s.tolist()))
-    # an arc takes cmath.exp at a float s and numpy's exp at an array: the two forms agree
-    # bit for bit on 1,000 seeded arcs of up to 8 turns either way, and on their reverses
-    rng = np.random.default_rng(1000)
-    s = np.concatenate(([0.0, 1.0], rng.random(14)))
-    for _ in range(1000):
-        start = rng.uniform(-30.0, 30.0)
-        arc = Arc(complex(*rng.normal(size=2)), rng.uniform(0.0, 3.0), start, start + rng.uniform(-16.0, 16.0) * math.pi)
-        for segment in (arc, *ContourPath([arc]).reversed()):
-            scalar = np.array([segment.point(t) for t in s.tolist()])
-            assert segment.point(s).tobytes() == scalar.tobytes(), segment
 
 
 def _all_steps_transport(system, path, y0, tol):
