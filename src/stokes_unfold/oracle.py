@@ -221,10 +221,11 @@ def _steps(path: ContourPath, singular, clearance: float) -> tuple:
     after finitely many steps, as r_j shrinks at least 0.7-fold per step toward it."""
     centres, ends, radii, segments = [], [], [], []
     for segment in path:
-        length, s = segment.length, 0.0
+        length = segment.length
+        s = 0.0
         x = complex(segment.point(0.0))
         while length and s < 1.0:
-            r = min([abs(x - p) for p in singular], default=length)
+            r = min((abs(x - p) for p in singular), default=length)
             if r <= clearance and singular:
                 near = min(singular, key=lambda p: abs(x - p))
                 raise PathError(f"path passes within {r:.3e} of the singular point {near}")
@@ -233,7 +234,7 @@ def _steps(path: ContourPath, singular, clearance: float) -> tuple:
             x = complex(segment.point(s))
             ends.append(x)
             radii.append(r)
-        segments += [segment] * (len(centres) - len(segments))
+            segments.append(segment)
     c = np.array(centres)
     return c, np.array(ends) - c, np.array(radii), segments
 
